@@ -199,11 +199,11 @@ def cmd_fd(args) -> int:
     from .fdlap import assemble, fd_spectrum
     from .spectra import save_spectrum
 
+    if args.out is None:
+        raise ConfigError("fd needs --out for the spectrum CSV")
     polygon = load_polygon(args.polygon)
     op = assemble(polygon, args.step)
     spec = fd_spectrum(op, args.threshold)
-    if args.out is None:
-        raise ConfigError("fd needs --out for the spectrum CSV")
     save_spectrum(spec, args.out)
     return 0
 

@@ -3,9 +3,11 @@
 5-point Laplacian on the lattice step*Z^2, keeping only nodes strictly
 inside the polygon (nodes on the boundary are Dirichlet-eliminated).
 Eigenvalue counting below a threshold uses the inertia of A - sigma*I
-from a banded symmetric-indefinite factorization (Sylvester's law);
-eigenvalue extraction slices the interval with those counts and solves
-each slice by shift-invert Lanczos.
+(Sylvester's law) from a sparse symmetric LDL^T factorization, certified by
+its growth || |L||U| ||_inf / ||A - sigma*I||_inf and redone at a doubling
+upward nudge of sigma when it breaks down. Eigenvalue extraction slices the
+interval with those counts and solves each slice by shift-invert Lanczos, or
+densely on small grids where Lanczos misses copies of a multiple eigenvalue.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu
 
 from .domains import Polygon
 from .errors import ConfigError, NumericsError, ResourceError
@@ -25,10 +27,13 @@ from .spectra import Spectrum
 log = logging.getLogger(__name__)
 
 PIVOT_TOL = 1e-12  # factorization breakdown when |pivot| < PIVOT_TOL * ||A||
-SHIFT_STEP = 1e-10  # threshold perturbation, as a multiple of ||A||
+SHIFT_STEP = 1e-10  # first threshold perturbation, as a multiple of ||A||
+MAX_NUDGES = 16  # the last nudge is 2**15 * SHIFT_STEP = 3.3e-6 * ||A||
+MAX_GROWTH = 1e8  # breakdown when || |L||U| ||_inf > MAX_GROWTH * ||A - shift*I||_inf
 MAX_SLICE = 64  # eigenvalues per spectrum slice
 DEFAULT_EIG_BUDGET = 20000
 _DENSE_CUTOVER = 220  # below this dimension just use a dense solver
+_DENSE_FALLBACK_MAX = 2000  # largest dimension a Lanczos slice may redo densely
 # irrational-ish split ratio keeps slice boundaries off the exact
 # arithmetic coincidences common in structured grid spectra
 _SPLIT_RATIO = 0.5000018437180104
@@ -72,79 +77,65 @@ def assemble(polygon: Polygon, step: float) -> GridOperator:
         raise ConfigError(f"step {step} leaves no interior nodes in the polygon")
     order = np.lexsort((nodes[:, 0], nodes[:, 1]))  # by y, then x
     nodes = nodes[order]
-    index = {(int(i), int(j)): k for k, (i, j) in enumerate(nodes)}
+    # row-major keys over the lattice box are sorted in the node order; the
+    # box rim lies outside the polygon, so key +- 1 never wraps to a new row
+    nx = i_hi - i_lo + 1
+    keys = (nodes[:, 1] - j_lo) * nx + (nodes[:, 0] - i_lo)
+    n = len(nodes)
     inv = 1.0 / step**2
-    rows = []
-    cols = []
-    vals = []
-    for k, (i, j) in enumerate(nodes):
-        rows.append(k)
-        cols.append(k)
-        vals.append(4.0 * inv)
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            q = index.get((int(i) + di, int(j) + dj))
-            if q is not None:
-                rows.append(k)
-                cols.append(q)
-                vals.append(-inv)
-    mat = sparse.coo_matrix((vals, (rows, cols)), shape=(len(nodes), len(nodes))).tocsr()
+    rows = [np.arange(n)]
+    cols = [np.arange(n)]
+    for offset in (1, -1, nx, -nx):
+        pos = np.minimum(np.searchsorted(keys, keys + offset), n - 1)
+        hit = keys[pos] == keys + offset
+        rows.append(np.flatnonzero(hit))
+        cols.append(pos[hit])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.full(len(rows), -inv)
+    vals[:n] = 4.0 * inv
+    mat = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return GridOperator(polygon=polygon, step=float(step), nodes=nodes, matrix=mat)
 
 
-def _to_band(matrix: sparse.csr_matrix) -> np.ndarray:
-    """Lower band storage: band[k, j] = A[j + k, j]."""
-    coo = matrix.tocoo()
-    lower = coo.row >= coo.col
-    r, c, v = coo.row[lower], coo.col[lower], coo.data[lower]
-    bw = int((r - c).max()) if len(r) else 0
-    band = np.zeros((bw + 1, matrix.shape[0]))
-    band[r - c, c] = v
-    return band
+def _sparse_inertia(matrix: sparse.csr_matrix, shift: float, norm: float) -> int:
+    """Negative-pivot count of a sparse LDL^T factorization of A - shift*I.
 
-
-def _band_inertia(band: np.ndarray, shift: float, norm: float) -> int:
-    """Negative-pivot count of the LDL^T factorization of A - shift*I.
-
-    No pivoting; a breakdown (tiny pivot) raises NumericsError so the
-    caller can retry with a perturbed shift.
+    SuperLU with a symmetric ordering and diagonal pivots gives P(A - shift*I)P^T
+    = L U with U = D L^T. Without pivoting for size, a shift near an eigenvalue of
+    a leading block can give the wrong inertia, so a tiny or off-diagonal pivot or
+    a large growth raises NumericsError and the caller retries with a new shift.
     """
-    band = band.copy()
-    band[0] -= shift
-    bw, n = band.shape[0] - 1, band.shape[1]
-    tol = PIVOT_TOL * norm
-    neg = 0
-    for j in range(n):
-        dj = band[0, j]
-        if abs(dj) < tol:
-            raise NumericsError(f"pivot {dj!r} below tolerance at column {j}")
-        if dj < 0:
-            neg += 1
-        m = min(bw, n - 1 - j)
-        if m == 0:
-            continue
-        w = band[1 : m + 1, j].copy()
-        scaled = w / dj
-        # trailing rank-one update written per band diagonal
-        for k in range(m):
-            band[k, j + 1 : j + 1 + m - k] -= w[k:m] * scaled[: m - k]
-    return neg
+    shifted = (matrix - shift * sparse.identity(matrix.shape[0], format="csr")).tocsc()
+    try:
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:  # exactly singular
+        raise NumericsError(f"factorization failed at shift {shift!r}: {exc}") from exc
+    pivots = lu.U.diagonal()
+    ones = np.ones(len(pivots))
+    growth = (abs(lu.L) @ (abs(lu.U) @ ones)).max() / (abs(shifted) @ ones).max()
+    smallest = np.abs(pivots).min()
+    if smallest < PIVOT_TOL * norm or growth > MAX_GROWTH or np.any(lu.perm_r != lu.perm_c):
+        raise NumericsError(
+            f"unstable LDL^T at shift {shift!r}: pivot {smallest!r}, growth {growth:.3g}")
+    return int(np.count_nonzero(pivots < 0))
 
 
 def count_below(op: GridOperator, threshold: float) -> int:
     """Matrix eigenvalues strictly below `threshold` via inertia.
 
     If the factorization breaks down (threshold essentially equal to an
-    eigenvalue) the threshold is nudged by SHIFT_STEP * ||A|| and the
-    shift actually used is reported through the module logger.
+    eigenvalue) the threshold is nudged by 2**attempt * SHIFT_STEP * ||A||
+    (the growth check rejects every shift within a fixed tiny distance of
+    an eigenvalue) and the shift used is reported through the module logger.
     """
-    band = _to_band(op.matrix)
     norm = op.norm_estimate
     shift = float(threshold)
-    for attempt in range(60):
+    for attempt in range(MAX_NUDGES):
         try:
-            return _band_inertia(band, shift, norm)
+            return _sparse_inertia(op.matrix, shift, norm)
         except NumericsError:
-            shift = threshold + (attempt + 1) * SHIFT_STEP * norm
+            shift = threshold + 2**attempt * SHIFT_STEP * norm
             log.warning(
                 "factorization breakdown at threshold %r; retrying with shift %r",
                 threshold,
@@ -162,8 +153,9 @@ def eigenvalues_below(
 
     Spectrum slicing: bisection with inertia counts until every slice
     holds at most MAX_SLICE eigenvalues, then shift-invert Lanczos at the
-    slice center with a spanning completeness certificate per slice. The
-    total is checked against count_below.
+    slice center with a spanning completeness certificate per slice; a slice
+    short of its inertia count is redone densely on grids of dimension up
+    to _DENSE_FALLBACK_MAX. The total is checked against count_below.
     """
     n_total = count_below(op, threshold)
     if n_total > budget:
@@ -178,6 +170,7 @@ def eigenvalues_below(
         return ev[ev < threshold]
 
     out = []
+    dense = None
     stack = [(0.0, float(threshold), 0, n_total)]
     while stack:
         lo, hi, c_lo, c_hi = stack.pop()
@@ -190,7 +183,13 @@ def eigenvalues_below(
             stack.append((lo, mid, c_lo, c_mid))
             stack.append((mid, hi, c_mid, c_hi))
             continue
-        out.append(_solve_slice(op, lo, hi, k))
+        found = _solve_slice(op, lo, hi, k)
+        if len(found) < k:  # Lanczos missed copies of a multiple eigenvalue, e.g. 4/step^2
+            if n > _DENSE_FALLBACK_MAX:
+                raise NumericsError(f"slice [{lo}, {hi}) found {len(found)} of {k} eigenvalues")
+            dense = np.linalg.eigvalsh(op.matrix.toarray()) if dense is None else dense
+            found = dense[(dense >= lo) & (dense < hi)]
+        out.append(found)
     ev = np.sort(np.concatenate(out)) if out else np.empty(0)
     if len(ev) != n_total:
         raise NumericsError(

@@ -1,12 +1,16 @@
+import json
 import logging
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
+import weylkit.fdlap
+from weylkit.cli import main
 from weylkit.domains import Polygon, lshape_polygon
-from weylkit.errors import ConfigError, ResourceError
+from weylkit.errors import ConfigError, NumericsError, ResourceError
 from weylkit.fdlap import (
     assemble,
     count_below,
@@ -77,6 +81,33 @@ def test_inertia_matches_dense(poly, step):
         assert count_below(op, float(thr)) == int((dense < thr).sum())
 
 
+def _random_lshape(rng):
+    a, c = rng.uniform(0.9, 1.3, 2)
+    p, q = rng.uniform(0.3, 0.7) * a, rng.uniform(0.3, 0.7) * c
+    return Polygon([(0, 0), (a, 0), (a, q), (p, q), (p, c), (0, c)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sparse_inertia_on_random_lshapes(seed):
+    rng = np.random.default_rng(seed)
+    step = (1 / 24, 1 / 32)[seed % 2]
+    op = assemble(_random_lshape(rng), step)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    for thr in rng.uniform(dense[0] * 0.5, dense[-1] * 1.05, 10):
+        assert count_below(op, float(thr)) == int((dense < thr).sum())
+    # 4/step^2 is a highly degenerate eigenvalue; a nudged count may
+    # include its copies but must never count anything else. Without the
+    # growth certificate, thresholds this close to it get wrong counts.
+    middle = 4.0 / step**2
+    below, above = (dense < middle * (1 - 1e-6)).sum(), (dense < middle * (1 + 1e-6)).sum()
+    for rel in (0.0, 1e-12, -1e-12, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9):
+        try:
+            n = count_below(op, middle * (1 + rel))
+        except NumericsError:
+            continue
+        assert below <= n <= above
+
+
 def test_count_monotone_in_threshold():
     op = assemble(lshape_polygon(1.0), 1 / 24)
     thresholds = np.linspace(10.0, 4000.0, 25)
@@ -90,6 +121,19 @@ def test_threshold_at_eigenvalue_retries(caplog):
     with caplog.at_level(logging.WARNING, logger="weylkit.fdlap"):
         count_below(op, float(dense[3]))
     assert any("retrying with shift" in r.message for r in caplog.records)
+
+
+def test_degenerate_middle_eigenvalue_falls_back_to_dense():
+    # single-vector Lanczos misses copies of the 15-fold eigenvalue 4096
+    poly = Polygon(
+        [(0, 0), (1.0173, 0), (1.0173, 0.5158), (0.4884, 0.5158), (0.4884, 0.9791), (0, 0.9791)]
+    )
+    op = assemble(poly, 1 / 32)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    ev = eigenvalues_below(op, 4791.445)
+    ref = dense[dense < 4791.445]
+    assert len(ev) == len(ref) == 473
+    assert np.max(np.abs(ev - ref) / ref) < 1e-8
 
 
 def test_eigenvalues_below_matches_dense():
@@ -149,3 +193,60 @@ def test_lexicographic_node_order():
     nodes = op.nodes
     keys = [(j, i) for i, j in nodes]
     assert keys == sorted(keys)
+
+
+def _dict_assemble(polygon, step):
+    """Reference stencil builder: a node index dict and a loop over nodes."""
+    v = polygon.vertices
+    i_lo = int(math.floor(v[:, 0].min() / step)) - 1
+    i_hi = int(math.ceil(v[:, 0].max() / step)) + 1
+    j_lo = int(math.floor(v[:, 1].min() / step)) - 1
+    j_hi = int(math.ceil(v[:, 1].max() / step)) + 1
+    ii, jj = np.meshgrid(np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1), indexing="ij")
+    lattice = np.stack([ii.ravel(), jj.ravel()], axis=1)
+    nodes = lattice[polygon.contains(lattice * step, strict=True)]
+    nodes = nodes[np.lexsort((nodes[:, 0], nodes[:, 1]))]
+    index = {(int(i), int(j)): k for k, (i, j) in enumerate(nodes)}
+    inv = 1.0 / step**2
+    rows, cols, vals = [], [], []
+    for k, (i, j) in enumerate(nodes):
+        rows.append(k)
+        cols.append(k)
+        vals.append(4.0 * inv)
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            q = index.get((int(i) + di, int(j) + dj))
+            if q is not None:
+                rows.append(k)
+                cols.append(q)
+                vals.append(-inv)
+    n = len(nodes)
+    return nodes, sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("step", [1 / 4, 1 / 8, 1 / 16, 1 / 24, 1 / 32, 1 / 64])
+@pytest.mark.parametrize("poly", [UNIT_SQUARE, lshape_polygon(1.0), _random_lshape(np.random.default_rng(7))])
+def test_assemble_matches_dict_builder(poly, step):
+    op = assemble(poly, step)
+    nodes, ref = _dict_assemble(poly, step)
+    for got, want in (
+        (op.nodes, nodes),
+        (op.matrix.indptr, ref.indptr),
+        (op.matrix.indices, ref.indices),
+        (op.matrix.data, ref.data),
+    ):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_fd_command_checks_out_before_assembly(tmp_path, monkeypatch, capsys):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("assemble ran before --out was checked")
+
+    monkeypatch.setattr(weylkit.fdlap, "assemble", fail)
+    assert main(["fd", "--polygon", str(poly), "--step", "0.0625", "--threshold", "120"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"] == "fd needs --out for the spectrum CSV"
