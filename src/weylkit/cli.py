@@ -10,26 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import ConfigError, WeylkitError, exit_code_for
 
 MC_SEED = 0  # fixed seed for every Monte-Carlo ingredient
-
-
-def _set_thread_cap(n: int | None) -> None:
-    if n is None:
-        return
-    if n < 1:
-        raise ConfigError(f"--threads must be >= 1, got {n}")
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(n)
 
 
 def parse_domain(spec: str):
@@ -97,25 +82,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import csv
-    import io
-
     from .functionals import sweep, sweep_to_csv
 
     domain, h_grid, spectrum = _sweep_inputs(args)
-    result = sweep(domain, spectrum, h_grid)
-    if args.out:
-        sweep_to_csv(result, args.out)
-        return 0
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["h", "N", "riesz", "weyl1", "weyl2", "residual1", "residual2"])
-    for r in result.records:
-        w.writerow(
-            [repr(r.h), r.n_below, repr(r.riesz), repr(r.weyl1), repr(r.weyl2),
-             repr(r.residual1), repr(r.residual2)]
-        )
-    sys.stdout.write(buf.getvalue())
+    _emit(sweep_to_csv(sweep(domain, spectrum, h_grid)), args.out)
     return 0
 
 
@@ -163,22 +133,13 @@ def cmd_halfspace(args) -> int:
 def cmd_localize(args) -> int:
     import numpy as np
 
-    from .localization import ScaleFunction, dump_diagnostics, normalization_check
-
-    from .domains import Box, Disk
+    from .localization import ScaleFunction, bounding_box, dump_diagnostics, normalization_check
 
     domain = parse_domain(args.domain)
-    if not isinstance(domain, (Box, Disk)):
-        raise ConfigError("localize supports square/box/disk domains only")
+    lo, hi = bounding_box(domain, 2 * args.l0)
     sf = ScaleFunction(domain, args.l0)
     if args.out is None:
         raise ConfigError("localize needs --out for the diagnostics CSV")
-    if isinstance(domain, Box):
-        lo = np.zeros(domain.dim) - 2 * args.l0
-        hi = np.asarray(domain.sides) + 2 * args.l0
-    else:
-        lo = np.full(domain.dim, -domain.radius - 2 * args.l0)
-        hi = np.full(domain.dim, domain.radius + 2 * args.l0)
     axes = [np.linspace(lo[i], hi[i], args.grid) for i in range(domain.dim)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
@@ -208,9 +169,16 @@ def cmd_fd(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports argument errors as ConfigError, so they print as JSON; its
+    subparsers inherit this."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="weylkit", description=__doc__)
-    p.add_argument("--threads", type=int, default=None, help="cap BLAS/OpenMP threads")
+    p = _Parser(prog="weylkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("constants", help="semiclassical constants for a dimension")
@@ -260,7 +228,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _set_thread_cap(args.threads)
         return args.fn(args)
     except WeylkitError as exc:
         code = exit_code_for(exc)

@@ -18,6 +18,7 @@ range where the spectrum is complete raises rather than truncating.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -203,23 +204,20 @@ def riesz_from_counting(spectrum: Spectrum, h: float) -> float:
     return h * h * math.fsum(counts * np.diff(breaks))
 
 
-def sweep_to_csv(result: SweepResult, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["h", "N", "riesz", "weyl1", "weyl2", "residual1", "residual2"])
-        for r in result.records:
-            w.writerow(
-                [
-                    repr(r.h),
-                    r.n_below,
-                    repr(r.riesz),
-                    repr(r.weyl1),
-                    repr(r.weyl2),
-                    repr(r.residual1),
-                    repr(r.residual2),
-                ]
-            )
+def sweep_to_csv(result: SweepResult, path=None) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["h", "N", "riesz", "weyl1", "weyl2", "residual1", "residual2"])
+    for r in result.records:
+        w.writerow(
+            [repr(r.h), r.n_below, repr(r.riesz), repr(r.weyl1), repr(r.weyl2),
+             repr(r.residual1), repr(r.residual2)]
+        )
+    text = buf.getvalue()
+    if path is not None:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    return text
 
 
 def fit_to_json(report: FitReport, path=None) -> str:

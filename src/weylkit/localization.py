@@ -74,9 +74,17 @@ class ScaleFunction:
         used and the point is flagged for diagnostics.
         """
         u, single = _as_batch(u)
+        _, grad, flagged = self._scale_and_grad(u)
+        if single:
+            return grad[0], bool(flagged[0])
+        return grad, flagged
+
+    def _scale_and_grad(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(l, grad l, fallback flags) for a batch u from one distance query."""
         dist = np.asarray(self.domain.distance_to_complement(u))
         gd, smooth = self.domain.grad_distance(u)
         s = np.hypot(dist, self.l0)
+        l = s / (2.0 * (s + 1.0))
         grad = (dist / (2.0 * s * (s + 1.0) ** 2))[:, None] * gd
         flagged = ~np.asarray(smooth)
         if flagged.any():
@@ -90,9 +98,7 @@ class ScaleFunction:
                 um[:, axis] -= step
                 fd[:, axis] = (self.scale(up) - self.scale(um)) / (2.0 * step)
             grad[flagged] = fd
-        if single:
-            return grad[0], bool(flagged[0])
-        return grad, flagged
+        return l, grad, flagged
 
 
 def distance_to_complement(domain, u):
@@ -214,23 +220,7 @@ def _normalization_integrand(sf: ScaleFunction, x: np.ndarray):
     d = len(x)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        dist = np.asarray(sf.domain.distance_to_complement(u))
-        gd, smooth = sf.domain.grad_distance(u)
-        s = np.hypot(dist, sf.l0)
-        l = s / (2.0 * (s + 1.0))
-        grad_l = (dist / (2.0 * s * (s + 1.0) ** 2))[:, None] * gd
-        flagged = ~np.asarray(smooth)
-        if flagged.any():
-            step = FD_STEP_FACTOR * sf.l0
-            uf = u[flagged]
-            fd = np.empty_like(uf)
-            for axis in range(d):
-                up = uf.copy()
-                um = uf.copy()
-                up[:, axis] += step
-                um[:, axis] -= step
-                fd[:, axis] = (sf.scale(up) - sf.scale(um)) / (2.0 * step)
-            grad_l[flagged] = fd
+        l, grad_l, _ = sf._scale_and_grad(u)
         diff = x[None, :] - u
         z2 = np.sum(diff * diff, axis=1) / (l * l)
         w = 1.0 + np.sum(diff * grad_l, axis=1) / l
@@ -320,6 +310,16 @@ def normalization_check(
 # collar integrals of powers of the scale
 
 
+def bounding_box(domain, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Corners (lo, hi) of the box or disk's bounding box, grown by `margin`."""
+    if isinstance(domain, Box):
+        return np.zeros(domain.dim) - margin, np.asarray(domain.sides) + margin
+    if isinstance(domain, Disk):
+        return (np.full(domain.dim, -domain.radius - margin),
+                np.full(domain.dim, domain.radius + margin))
+    raise ConfigError("localize supports square/box/disk domains only")
+
+
 def scale_integrals(
     sf: ScaleFunction, a: float, *, step_factor: float = 1.0 / 32.0
 ) -> tuple[float, float]:
@@ -331,17 +331,9 @@ def scale_integrals(
     and disk domains are supported (closed-form boundary distances).
     """
     dom = sf.domain
-    if not isinstance(dom, (Box, Disk)):
-        raise ConfigError("scale_integrals needs a box or disk domain")
+    lo, hi = bounding_box(dom, 2.0 * sf.l0)
     d = dom.dim
     step = sf.l0 * step_factor
-    margin = 2.0 * sf.l0
-    if isinstance(dom, Box):
-        lo = np.zeros(d) - margin
-        hi = np.asarray(dom.sides) + margin
-    else:
-        lo = np.full(d, -dom.radius - margin)
-        hi = np.full(d, dom.radius + margin)
     axes = [np.arange(lo[i] + step / 2.0, hi[i], step) for i in range(d)]
     grids = np.meshgrid(*axes, indexing="ij")
     u = np.stack([g.ravel() for g in grids], axis=1)
@@ -520,8 +512,7 @@ def surface_defect_slope(c: float, alpha: float, radii, dim: int = 2) -> float:
 def dump_diagnostics(sf: ScaleFunction, points, path) -> None:
     """CSV of (u, l(u), flag); flag=1 where grad l fell back to differences."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    l = np.asarray(sf.scale(pts))
-    _, flags = sf.grad_scale(pts)
+    l, _, flags = sf._scale_and_grad(pts)
     path = Path(path)
     d = pts.shape[1]
     with path.open("w", newline="") as fh:

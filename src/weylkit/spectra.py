@@ -1,7 +1,12 @@
 """Provably complete Dirichlet spectra below a cutoff.
 
 Boxes use separation of variables (bounded lattice enumeration of
-pi^2 sum (m_i/a_i)^2), disks and balls use squares of Bessel zeros.
+pi^2 sum (m_i/a_i)^2). Disks and balls share one builder,
+`_bessel_spectrum`: in dimension d the eigenvalues are (j_{nu,k}/R)^2
+for the orders nu = l + d/2 - 1, l = 0, 1, ..., each repeated by the
+dimension of the degree-l spherical harmonics,
+C(l+d-1, d-1) - C(l+d-3, d-1) (the second term is 0 when l+d < 3),
+that is 1, 2, 2, ... for the disk and 2l+1 for the ball.
 Eigenvalues are stored as a flat sorted float array with multiplicity.
 """
 
@@ -18,7 +23,7 @@ import numpy as np
 from .bessel import zeros_below
 from .constants import constants
 from .domains import Ball, Box, Disk
-from .errors import ConfigError, ResourceError
+from .errors import CompletenessError, ConfigError, ResourceError
 
 DEFAULT_BUDGET = 10**8  # max stored eigenvalues
 
@@ -40,7 +45,7 @@ class Spectrum:
 
     def restricted(self, cutoff: float) -> "Spectrum":
         if cutoff > self.cutoff:
-            raise ConfigError(
+            raise CompletenessError(
                 f"cannot restrict to {cutoff}: spectrum only complete below {self.cutoff}"
             )
         return Spectrum(self.eigenvalues[self.eigenvalues < cutoff], cutoff, self.provenance)
@@ -90,57 +95,44 @@ def box_spectrum(sides, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spect
     return Spectrum(ev, float(cutoff), "exact-box")
 
 
-def disk_spectrum(radius: float, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spectrum:
-    """Disk eigenvalues (j_{nu,k}/R)^2 < cutoff; multiplicity 2 for nu >= 1.
+def _multiplicity(ell: int, d: int) -> int:
+    """Dimension of the degree-ell spherical harmonics on S^{d-1}."""
+    return math.comb(ell + d - 1, d - 1) - math.comb(max(ell + d - 3, 0), d - 1)
 
-    The order scan stops at the first nu whose first zero exceeds
-    R*sqrt(cutoff); since j_{nu,1} > nu and j_{nu,1} increases with nu, no
-    order beyond that can contribute.
-    """
-    disk = Disk(radius)
+
+def _bessel_spectrum(ball, cutoff: float, budget: int) -> Spectrum:
+    """Disk or ball eigenvalues below `cutoff`. The order scan stops at the
+    first order without a zero below R*sqrt(cutoff): j_{nu,1} > nu and
+    j_{nu,1} increases with nu, so no later order can contribute."""
     if cutoff <= 0:
         raise ConfigError(f"cutoff must be positive, got {cutoff}")
-    cons = constants(2)
-    _check_budget(1.2 * cons.C_d * disk.volume * cutoff + 100, budget, "disk spectrum")
-    x_max = math.sqrt(cutoff) * radius
-    chunks = []
-    nu = 0
-    while nu <= x_max:
-        zs = zeros_below(nu, x_max)
-        if zs.size == 0:
-            break
-        lam = (zs / radius) ** 2
-        chunks.append(lam if nu == 0 else np.repeat(lam, 2))
-        nu += 1
-    ev = np.sort(np.concatenate(chunks)) if chunks else np.empty(0)
-    ev = ev[ev < cutoff]
-    if ev.size > budget:
-        raise ResourceError(f"disk spectrum has {ev.size} eigenvalues, over budget {budget}")
-    return Spectrum(ev, float(cutoff), "exact-bessel")
-
-
-def ball_spectrum(radius: float, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spectrum:
-    """Ball eigenvalues (j_{l+1/2,k}/R)^2 < cutoff, multiplicity 2l+1."""
-    ball = Ball(radius)
-    if cutoff <= 0:
-        raise ConfigError(f"cutoff must be positive, got {cutoff}")
-    cons = constants(3)
-    _check_budget(1.2 * cons.C_d * ball.volume * cutoff**1.5 + 100, budget, "ball spectrum")
-    x_max = math.sqrt(cutoff) * radius
+    d = ball.dim
+    what = f"{type(ball).__name__.lower()} spectrum"
+    _check_budget(1.2 * constants(d).C_d * ball.volume * cutoff ** (d / 2) + 100, budget, what)
+    x_max = math.sqrt(cutoff) * ball.radius
     chunks = []
     ell = 0
-    while ell + 0.5 <= x_max:
-        zs = zeros_below(ell + 0.5, x_max)
+    while ell + d / 2 - 1 <= x_max:
+        zs = zeros_below(ell + d / 2 - 1, x_max)
         if zs.size == 0:
             break
-        lam = (zs / radius) ** 2
-        chunks.append(np.repeat(lam, 2 * ell + 1))
+        chunks.append(np.repeat((zs / ball.radius) ** 2, _multiplicity(ell, d)))
         ell += 1
     ev = np.sort(np.concatenate(chunks)) if chunks else np.empty(0)
     ev = ev[ev < cutoff]
     if ev.size > budget:
-        raise ResourceError(f"ball spectrum has {ev.size} eigenvalues, over budget {budget}")
+        raise ResourceError(f"{what} has {ev.size} eigenvalues, over budget {budget}")
     return Spectrum(ev, float(cutoff), "exact-bessel")
+
+
+def disk_spectrum(radius: float, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spectrum:
+    """Disk eigenvalues (j_{nu,k}/R)^2 < cutoff; multiplicity 2 for nu >= 1."""
+    return _bessel_spectrum(Disk(radius), cutoff, budget)
+
+
+def ball_spectrum(radius: float, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spectrum:
+    """Ball eigenvalues (j_{l+1/2,k}/R)^2 < cutoff, multiplicity 2l+1."""
+    return _bessel_spectrum(Ball(radius), cutoff, budget)
 
 
 def spectrum_for(domain, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spectrum:

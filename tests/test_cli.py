@@ -98,10 +98,33 @@ def test_fd_command(tmp_path):
 
 
 def test_config_error_exit_code(capsys):
-    assert main(["sweep", "--domain", "pentagon:1", "--h", "log:0.1:0.02:5"]) == 2
-    err = json.loads(capsys.readouterr().out)
-    assert err["error"]["exit_code"] == 2
-    assert err["error"]["type"] == "ConfigError"
+    for argv in (
+        ["sweep", "--domain", "pentagon:1", "--h", "log:0.1:0.02:5"],
+        ["--threads", "2", "constants", "--d", "2"],  # unknown flag
+        ["nosuchcmd"],
+        ["constants"],  # missing required option
+    ):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["exit_code"] == 2
+        assert err["error"]["type"] == "ConfigError"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: weylkit" in capsys.readouterr().out
+
+
+def test_localize_rejects_polygon(tmp_path, capsys):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    argv = ["localize", "--domain", f"polygon:{poly}", "--l0", "0.1", "--out", str(tmp_path / "d.csv")]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"] == "localize supports square/box/disk domains only"
 
 
 def test_convergence_error_exit_code(capsys):
@@ -110,12 +133,15 @@ def test_convergence_error_exit_code(capsys):
     assert err["error"]["type"] == "ConvergenceError"
 
 
-def test_reruns_byte_identical(tmp_path):
+def test_reruns_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     for out in (a, b):
         assert main(["sweep", "--domain", "disk:1", "--h", "log:0.3:0.05:5", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+    assert main(["sweep", "--domain", "disk:1", "--h", "log:0.3:0.05:5"]) == 0
+    assert capsys.readouterr().out.encode() == a.read_bytes()
 
     fa = tmp_path / "fa.json"
     fb = tmp_path / "fb.json"

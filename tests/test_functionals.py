@@ -234,7 +234,9 @@ def test_csv_and_json_outputs(tmp_path, square_50):
     dom = square(1.0)
     res = sweep(dom, square_50, [0.4, H50])
     path = tmp_path / "sweep.csv"
-    sweep_to_csv(res, path)
+    text = sweep_to_csv(res, path)
+    assert path.read_bytes() == text.encode()
+    assert sweep_to_csv(res) == text
     lines = path.read_text().splitlines()
     assert lines[0] == "h,N,riesz,weyl1,weyl2,residual1,residual2"
     assert len(lines) == 3

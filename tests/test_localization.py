@@ -82,6 +82,43 @@ def test_scale_bounds(domain, l0):
     assert np.all(l[touching] <= l0 / math.sqrt(3.0) + 1e-14)
 
 
+class _CountingDomain:
+    """Delegates to a domain and counts its distance queries."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = 0
+
+    def distance_to_complement(self, u):
+        self.queries += 1
+        return self.inner.distance_to_complement(u)
+
+    def grad_distance(self, u):
+        return self.inner.grad_distance(u)
+
+
+def test_scale_and_grad_matches_public_paths():
+    dom = _CountingDomain(square(1.0))
+    sf = ScaleFunction(dom, 0.1)
+    smooth = np.array([[0.2, 0.5], [0.7, 0.4], [0.5, 0.93]])
+    ridge = np.array([[0.3, 0.3], [0.5, 0.5], [0.8, 0.2]])  # diagonal face ties
+    for u, flagged in ((smooth, False), (ridge, True)):
+        dom.queries = 0
+        l, grad, flags = sf._scale_and_grad(u)
+        if not flagged:
+            assert dom.queries == 1  # l and grad l from one distance query
+            dist = square(1.0).distance_to_complement(u)
+            gd, _ = square(1.0).grad_distance(u)
+            s = np.hypot(dist, 0.1)
+            chain = (dist / (2.0 * s * (s + 1.0) ** 2))[:, None] * gd
+            assert np.allclose(grad, chain, rtol=1e-14, atol=0.0)
+        assert np.all(flags == flagged)
+        assert l.tobytes() == np.asarray(sf.scale(u)).tobytes()
+        ref_grad, ref_flags = sf.grad_scale(u)
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert np.array_equal(flags, ref_flags)
+
+
 def test_distance_wrapper():
     assert distance_to_complement(square(1.0), np.array([0.5, 0.5])) == 0.5
 
@@ -210,7 +247,7 @@ def test_scale_integrals_basic():
     sf = ScaleFunction(square(1.0), 0.1)
     i1, i2 = scale_integrals(sf, -2.0)
     assert i1 > 0 and i2 > 0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="square/box/disk"):
         scale_integrals(ScaleFunction(HalfSpace(2), 0.1), 0.0)
 
 

@@ -5,8 +5,9 @@ import pytest
 from scipy.special import jn_zeros
 
 from weylkit.constants import constants
-from weylkit.errors import ConfigError, ResourceError
+from weylkit.errors import CompletenessError, ResourceError
 from weylkit.spectra import (
+    _multiplicity,
     ball_spectrum,
     box_spectrum,
     disk_spectrum,
@@ -77,21 +78,21 @@ def test_disk_scaling():
 
 
 def test_disk_against_scipy_zeros():
-    cutoff = 400.0
-    s = disk_spectrum(1.0, cutoff)
-    ref = []
-    nu = 0
-    while True:
-        z = jn_zeros(nu, 12)
-        z = z[z**2 < cutoff]
-        if z.size == 0:
-            break
-        lam = z**2
-        ref.extend(lam if nu == 0 else np.repeat(lam, 2))
-        nu += 1
-    ref = np.sort(ref)
-    assert len(s) == len(ref)
-    assert np.allclose(s.eigenvalues, ref, atol=1e-7)
+    for radius, cutoff in ((1.0, 400.0), (1.0, 500.0), (0.7, 3000.0)):
+        s = disk_spectrum(radius, cutoff)
+        ref = []
+        nu = 0
+        while True:
+            lam = (jn_zeros(nu, 20) / radius) ** 2
+            lam = lam[lam < cutoff]
+            if lam.size == 0:
+                break
+            ref.extend(lam if nu == 0 else np.repeat(lam, 2))
+            nu += 1
+        ref = np.sort(ref)
+        assert len(s) == len(ref)
+        # worst case is j_{2,4}: 2.4e-12 relative in the zero, 4.9e-12 in lambda
+        assert np.allclose(s.eigenvalues, ref, rtol=1e-11, atol=0.0)
 
 
 def test_disk_even_multiplicity_above_nu0():
@@ -117,6 +118,19 @@ def test_ball_spectrum():
     expect3 = 5.763459196894550**2
     assert np.allclose(s.eigenvalues[4:9], expect3, atol=1e-7)
     assert s.eigenvalues[9] == pytest.approx(4 * math.pi**2, abs=1e-7)
+    assert len(ball_spectrum(1.0, 900.0)) == 1702
+
+
+@pytest.mark.parametrize(
+    "d, expected",
+    [
+        (2, [1, 2, 2, 2, 2]),
+        (3, [2 * ell + 1 for ell in range(5)]),
+        (4, [(ell + 1) ** 2 for ell in range(5)]),
+    ],
+)
+def test_spherical_harmonic_multiplicity(d, expected):
+    assert [_multiplicity(ell, d) for ell in range(5)] == expected
 
 
 def test_counting_consistency_restriction():
@@ -127,7 +141,7 @@ def test_counting_consistency_restriction():
     d = disk_spectrum(1.0, 500.0)
     again = disk_spectrum(1.0, 200.0)
     assert np.allclose(d.restricted(200.0).eigenvalues, again.eigenvalues, atol=1e-10)
-    with pytest.raises(ConfigError):
+    with pytest.raises(CompletenessError):
         s.restricted(3000.0)
 
 
