@@ -33,6 +33,7 @@ from .errors import ConfigError
 _SERIES_LOG_GUARD = math.log(1e5)
 
 _J01_SERIES_MAX = 14.0  # J_0, J_1: series up to here, Hankel expansion beyond
+SCAN_STEP = 1.0  # zero scan; must stay below the minimal zero gap (> 3) to skip none
 
 
 def _check_order(nu: float) -> float:
@@ -165,8 +166,9 @@ def _miller(nu: float, x: np.ndarray) -> np.ndarray:
 def bessel_j(nu: float, x) -> float | np.ndarray:
     """J_nu(x) for integer/half-integer nu >= 0 and x >= 0.
 
-    Absolute accuracy ~1e-11 over x in [0, 1e3]; validated against an
-    independent library implementation in the test suite.
+    Measured against scipy.special.jv over x in [0, 1e3]: absolute error at
+    most 3.5e-11 for nu <= 600. Above that it grows near the route switch at
+    x = nu: 6e-11 at nu = 700, 1.9e-10 at nu = 800, 1.1e-9 at nu = 1000.
     """
     nu = _check_order(nu)
     arr = np.asarray(x, dtype=float)
@@ -233,18 +235,18 @@ def _refine(nu: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return z
 
 
-def zeros_below(nu: float, x_max: float, *, scan_step: float = 1.0) -> np.ndarray:
+def zeros_below(nu: float, x_max: float) -> np.ndarray:
     """All positive zeros of J_nu strictly below x_max, in order.
 
     The scan grid starts below the first zero (which exceeds nu) and its
-    step is far below the minimal gap (> 3) between consecutive zeros, so
-    sign-change bracketing is exhaustive.
+    step SCAN_STEP is far below the minimal gap (> 3) between consecutive
+    zeros, so sign-change bracketing is exhaustive.
     """
     nu = _check_order(nu)
     if x_max <= nu:
         return np.empty(0)
     start = max(nu, 1e-3)
-    grid = np.arange(start, x_max + 2.0 * scan_step, scan_step)
+    grid = np.arange(start, x_max + 2.0 * SCAN_STEP, SCAN_STEP)
     vals = bessel_j(nu, grid)
     s = np.sign(vals)
     flip = (s[:-1] * s[1:] < 0) | (vals[:-1] == 0) | (vals[1:] == 0)
@@ -257,7 +259,8 @@ def zeros_below(nu: float, x_max: float, *, scan_step: float = 1.0) -> np.ndarra
 
 
 def bessel_zeros(nu: float, count: int) -> np.ndarray:
-    """The first `count` positive zeros of J_nu, each to ~1e-12."""
+    """The first `count` positive zeros of J_nu; against scipy for integer orders
+    <= 90, within 2.5e-12 relative (3.6e-11 absolute at j_{2,4})."""
     nu = _check_order(nu)
     if count < 1:
         raise ConfigError(f"zero count must be >= 1, got {count}")

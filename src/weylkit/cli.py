@@ -10,17 +10,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
+import numpy as np
+
+from . import domains, halfspace
+from .constants import constants
 from .errors import ConfigError, WeylkitError, exit_code_for
+from .fdlap import assemble, fd_spectrum
+from .functionals import fit_second_term, fit_to_json, sweep, sweep_to_csv
+from .localization import ScaleFunction, bounding_box, dump_diagnostics, normalization_check
+from .spectra import save_spectrum, spectrum_for
 
 MC_SEED = 0  # fixed seed for every Monte-Carlo ingredient
 
 
 def parse_domain(spec: str):
     """square:a | box:a,b[,c...] | disk:R | polygon:file.json"""
-    from . import domains
-
     kind, _, rest = spec.partition(":")
     if not rest:
         raise ConfigError(f"domain spec {spec!r} needs a parameter after ':'")
@@ -39,9 +46,7 @@ def parse_domain(spec: str):
 
 
 def parse_h_grid(spec: str) -> tuple[float, ...]:
-    """log:START:STOP:COUNT, strictly decreasing and positive."""
-    import numpy as np
-
+    """log:START:STOP:COUNT, strictly decreasing, positive and finite."""
     parts = spec.split(":")
     if len(parts) != 4 or parts[0] != "log":
         raise ConfigError(f"h grid spec must be log:START:STOP:COUNT, got {spec!r}")
@@ -49,7 +54,7 @@ def parse_h_grid(spec: str) -> tuple[float, ...]:
         start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ConfigError(f"bad h grid spec {spec!r}: {exc}") from exc
-    if not (start > stop > 0) or count < 1:
+    if not (math.inf > start > stop > 0) or count < 1:
         raise ConfigError("h grid needs START > STOP > 0 and COUNT >= 1")
     return tuple(float(h) for h in np.geomspace(start, stop, count))
 
@@ -63,8 +68,6 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _sweep_inputs(args):
-    from .spectra import spectrum_for
-
     domain = parse_domain(args.domain)
     h_grid = parse_h_grid(args.h)
     cutoff = 1.01 / min(h_grid) ** 2  # 1% headroom over the smallest h
@@ -73,8 +76,6 @@ def _sweep_inputs(args):
 
 
 def cmd_constants(args) -> int:
-    from .constants import constants
-
     c = constants(args.d)
     payload = {"omega_d": c.omega_d, "C_d": c.C_d, "L_d": c.L_d}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -82,16 +83,12 @@ def cmd_constants(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .functionals import sweep, sweep_to_csv
-
     domain, h_grid, spectrum = _sweep_inputs(args)
     _emit(sweep_to_csv(sweep(domain, spectrum, h_grid)), args.out)
     return 0
 
 
 def cmd_fit(args) -> int:
-    from .functionals import fit_second_term, fit_to_json, sweep
-
     domain, h_grid, spectrum = _sweep_inputs(args)
     result = sweep(domain, spectrum, h_grid)
     report = fit_second_term(result, domain)
@@ -100,12 +97,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_halfspace(args) -> int:
-    from . import halfspace
-    from .constants import constants
-
-    tol = args.tol if args.tol is not None else 1e-4
     if args.check == "boundary-coefficient":
-        value = halfspace.boundary_coefficient(args.d, args.T, tol=tol)
+        value = halfspace.boundary_coefficient(args.d, args.T, tol=args.tol)
         target = 0.25 * constants(args.d - 1).L_d
         payload = {
             "value": value,
@@ -114,8 +107,6 @@ def cmd_halfspace(args) -> int:
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     elif args.check == "profile":
-        import numpy as np
-
         ts = np.linspace(0.0, args.T, args.count)
         if args.out is None:
             raise ConfigError("profile check needs --out for its CSV")
@@ -131,10 +122,6 @@ def cmd_halfspace(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    import numpy as np
-
-    from .localization import ScaleFunction, bounding_box, dump_diagnostics, normalization_check
-
     domain = parse_domain(args.domain)
     lo, hi = bounding_box(domain, 2 * args.l0)
     sf = ScaleFunction(domain, args.l0)
@@ -146,23 +133,18 @@ def cmd_localize(args) -> int:
     dump_diagnostics(sf, pts, args.out)
     if args.check_normalization:
         rng = np.random.default_rng(MC_SEED)
-        tol = args.tol if args.tol is not None else 1e-3
         worst = 0.0
         for _ in range(args.check_normalization):
             x = rng.uniform(lo, hi)
-            worst = max(worst, abs(normalization_check(sf, x, tol=tol) - 1.0))
+            worst = max(worst, abs(normalization_check(sf, x, tol=args.tol) - 1.0))
         sys.stdout.write(json.dumps({"normalization_worst_deviation": worst}) + "\n")
     return 0
 
 
 def cmd_fd(args) -> int:
-    from .domains import load_polygon
-    from .fdlap import assemble, fd_spectrum
-    from .spectra import save_spectrum
-
     if args.out is None:
         raise ConfigError("fd needs --out for the spectrum CSV")
-    polygon = load_polygon(args.polygon)
+    polygon = domains.load_polygon(args.polygon)
     op = assemble(polygon, args.step)
     spec = fd_spectrum(op, args.threshold)
     save_spectrum(spec, args.out)
@@ -175,6 +157,25 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+
+def _checked(kind, ok, need: str):
+    """argparse type: kind(text), refused unless ok(value)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {need}")
+        return value
+
+    return parse
+
+
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,35 +201,37 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["boundary-coefficient", "profile", "tail", "dual"],
         default="boundary-coefficient",
     )
-    hs.add_argument("--T", type=float, default=200.0)
-    hs.add_argument("--count", type=int, default=201)
-    hs.add_argument("--tol", type=float, default=None)
+    hs.add_argument("--T", type=_FINITE, default=200.0)
+    hs.add_argument("--count", type=_COUNT, default=201)
+    hs.add_argument("--tol", type=_FINITE, default=1e-4)
     hs.add_argument("--out")
     hs.set_defaults(fn=cmd_halfspace)
 
     lc = sub.add_parser("localize", help="multiscale localization diagnostics")
     lc.add_argument("--domain", required=True)
-    lc.add_argument("--l0", type=float, required=True)
-    lc.add_argument("--grid", type=int, default=64)
-    lc.add_argument("--check-normalization", type=int, default=0, metavar="N")
-    lc.add_argument("--tol", type=float, default=None)
+    lc.add_argument("--l0", type=float, required=True)  # ScaleFunction checks it
+    lc.add_argument("--grid", type=_COUNT, default=64)
+    lc.add_argument("--check-normalization", type=_COUNT, default=0, metavar="N")
+    lc.add_argument("--tol", type=_FINITE, default=1e-3)
     lc.add_argument("--out")
     lc.set_defaults(fn=cmd_localize)
 
     fd = sub.add_parser("fd", help="finite-difference polygon spectrum")
     fd.add_argument("--polygon", required=True, help="JSON file with a vertex list")
-    fd.add_argument("--step", type=float, required=True)
-    fd.add_argument("--threshold", type=float, required=True)
+    fd.add_argument("--step", type=float, required=True)  # assemble checks it
+    fd.add_argument("--threshold", type=_FINITE, required=True)
     fd.add_argument("--out")
     fd.set_defaults(fn=cmd_fd)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
+        except OSError as exc:  # e.g. an --out path that cannot be written
+            raise ConfigError(str(exc)) from exc
     except WeylkitError as exc:
         code = exit_code_for(exc)
         sys.stdout.write(

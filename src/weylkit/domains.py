@@ -34,7 +34,7 @@ class Box:
     sides: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.sides) < 1 or any(a <= 0 for a in self.sides):
+        if len(self.sides) < 1 or not all(0 < a < math.inf for a in self.sides):
             raise ConfigError(f"box sides must be positive, got {self.sides}")
         object.__setattr__(self, "sides", tuple(float(a) for a in self.sides))
 
@@ -105,15 +105,15 @@ class Box:
 
 @dataclass(frozen=True)
 class Disk:
-    """Disk of radius R centered at the origin (d = 2)."""
+    """Disk of radius R centered at the origin (d = 2); its queries hold in any d."""
 
     radius: float
+    dim = 2
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ConfigError(f"disk radius must be positive, got {self.radius}")
-
-    dim = 2
+        if not 0 < self.radius < math.inf:
+            raise ConfigError(
+                f"{type(self).__name__.lower()} radius must be positive, got {self.radius}")
 
     @property
     def volume(self) -> float:
@@ -154,14 +154,9 @@ class Disk:
 
 @dataclass(frozen=True)
 class Ball:
-    """Ball of radius R centered at the origin (d = 3)."""
+    """Ball of radius R centered at the origin (d = 3); queries as for Disk."""
 
     radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ConfigError(f"ball radius must be positive, got {self.radius}")
-
     dim = 3
 
     @property
@@ -172,33 +167,11 @@ class Ball:
     def surface(self) -> float:
         return 4.0 * math.pi * self.radius**2
 
-    def contains(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
-        inside = np.sum(u * u, axis=1) < self.radius**2
-        return inside[0] if single else inside
-
-    def distance_to_complement(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
-        r = np.sqrt(np.sum(u * u, axis=1))
-        dist = np.clip(self.radius - r, 0.0, None)
-        return dist[0] if single else dist
-
-    def distance_to_boundary(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
-        r = np.sqrt(np.sum(u * u, axis=1))
-        dist = np.abs(self.radius - r)
-        return dist[0] if single else dist
-
-    def grad_distance(self, u) -> tuple[np.ndarray, np.ndarray]:
-        u, single = _as_batch(u)
-        r = np.sqrt(np.sum(u * u, axis=1))
-        inside = r < self.radius
-        safe = np.where(r > 0, r, 1.0)
-        grad = np.where(inside[:, None], -u / safe[:, None], 0.0)
-        smooth = (r > 1e-12) & (np.abs(r - self.radius) > 1e-12)
-        if single:
-            return grad[0], bool(smooth[0])
-        return grad, smooth
+    __post_init__ = Disk.__post_init__
+    contains = Disk.contains
+    distance_to_complement = Disk.distance_to_complement
+    distance_to_boundary = Disk.distance_to_boundary
+    grad_distance = Disk.grad_distance
 
 
 @dataclass(frozen=True)
@@ -268,24 +241,11 @@ class Polygon:
         d = np.roll(self.vertices, -1, axis=0) - self.vertices
         return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
-    def _on_edge(self, pts: np.ndarray, tol: float) -> np.ndarray:
-        a = self.vertices
-        b = np.roll(a, -1, axis=0)
-        on = np.zeros(len(pts), dtype=bool)
-        for p0, p1 in zip(a, b):
-            e = p1 - p0
-            L2 = e @ e
-            w = pts - p0
-            t = np.clip((w @ e) / L2, 0.0, 1.0)
-            proj = p0 + t[:, None] * e
-            on |= np.hypot(*(pts - proj).T) <= tol
-        return on
-
-    def contains(self, u, *, strict: bool = True) -> np.ndarray:
+    def contains(self, u) -> np.ndarray:
         """Even-odd membership test; points on an edge count as outside."""
         pts, single = _as_batch(u)
         scale = 1.0 + np.abs(self.vertices).max()
-        on = self._on_edge(pts, 1e-12 * scale)
+        on = self.distance_to_boundary(pts) <= 1e-12 * scale
         x, y = pts[:, 0], pts[:, 1]
         inside = np.zeros(len(pts), dtype=bool)
         a = self.vertices
@@ -295,7 +255,7 @@ class Polygon:
             with np.errstate(divide="ignore", invalid="ignore"):
                 xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
             inside ^= crosses & (x < np.where(crosses, xi, np.inf))
-        result = inside & ~on if strict else inside | on
+        result = inside & ~on
         return result[0] if single else result
 
     def distance_to_boundary(self, u) -> np.ndarray:

@@ -31,7 +31,7 @@ SHIFT_STEP = 1e-10  # first threshold perturbation, as a multiple of ||A||
 MAX_NUDGES = 16  # the last nudge is 2**15 * SHIFT_STEP = 3.3e-6 * ||A||
 MAX_GROWTH = 1e8  # breakdown when || |L||U| ||_inf > MAX_GROWTH * ||A - shift*I||_inf
 MAX_SLICE = 64  # eigenvalues per spectrum slice
-DEFAULT_EIG_BUDGET = 20000
+DEFAULT_EIG_BUDGET = 20000  # max eigenvalues per extraction; read at call time
 _DENSE_CUTOVER = 220  # below this dimension just use a dense solver
 _DENSE_FALLBACK_MAX = 2000  # largest dimension a Lanczos slice may redo densely
 # irrational-ish split ratio keeps slice boundaries off the exact
@@ -59,7 +59,7 @@ class GridOperator:
 
 def assemble(polygon: Polygon, step: float) -> GridOperator:
     """Build the operator; deterministic node order, Dirichlet truncation."""
-    if step <= 0:
+    if not step > 0:
         raise ConfigError(f"grid step must be positive, got {step}")
     v = polygon.vertices
     i_lo = int(math.floor(v[:, 0].min() / step)) - 1
@@ -71,7 +71,7 @@ def assemble(polygon: Polygon, step: float) -> GridOperator:
     )
     lattice = np.stack([ii.ravel(), jj.ravel()], axis=1)
     pts = lattice * step
-    inside = polygon.contains(pts, strict=True)
+    inside = polygon.contains(pts)
     nodes = lattice[inside]
     if len(nodes) == 0:
         raise ConfigError(f"step {step} leaves no interior nodes in the polygon")
@@ -146,9 +146,7 @@ def count_below(op: GridOperator, threshold: float) -> int:
     )
 
 
-def eigenvalues_below(
-    op: GridOperator, threshold: float, *, budget: int = DEFAULT_EIG_BUDGET
-) -> np.ndarray:
+def eigenvalues_below(op: GridOperator, threshold: float) -> np.ndarray:
     """All matrix eigenvalues below `threshold`, sorted, ~1e-10 relative.
 
     Spectrum slicing: bisection with inertia counts until every slice
@@ -158,9 +156,9 @@ def eigenvalues_below(
     to _DENSE_FALLBACK_MAX. The total is checked against count_below.
     """
     n_total = count_below(op, threshold)
-    if n_total > budget:
+    if n_total > DEFAULT_EIG_BUDGET:
         raise ResourceError(
-            f"{n_total} eigenvalues below {threshold}, over the budget {budget}"
+            f"{n_total} eigenvalues below {threshold}, over the budget {DEFAULT_EIG_BUDGET}"
         )
     if n_total == 0:
         return np.empty(0)
@@ -229,9 +227,7 @@ def _solve_slice(op: GridOperator, lo: float, hi: float, k: int) -> np.ndarray:
     raise NumericsError(f"could not certify completeness of slice [{lo}, {hi})")
 
 
-def fd_spectrum(
-    op: GridOperator, threshold: float, *, budget: int = DEFAULT_EIG_BUDGET
-) -> Spectrum:
+def fd_spectrum(op: GridOperator, threshold: float) -> Spectrum:
     """Spectrum object with finite-difference provenance."""
-    ev = eigenvalues_below(op, threshold, budget=budget)
+    ev = eigenvalues_below(op, threshold)
     return Spectrum(ev, float(threshold), f"finite-difference({op.step!r})")

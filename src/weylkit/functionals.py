@@ -30,6 +30,9 @@ from .constants import constants
 from .errors import CompletenessError, ConfigError, FitError, InvariantViolation
 from .spectra import Spectrum
 
+SKIP_LARGEST = 3  # pre-asymptotic largest h left out of the remainder fit
+RESIDUAL_FLOOR = 1e-9  # |residual2| below this multiple of weyl1 is roundoff
+
 
 def _check_threshold(spectrum: Spectrum, h: float) -> float:
     if h <= 0:
@@ -134,13 +137,7 @@ class FitReport:
     residual_norm: float
 
 
-def fit_second_term(
-    sweep_result: SweepResult,
-    domain,
-    *,
-    skip_largest: int = 3,
-    residual_floor: float = 1e-9,
-) -> FitReport:
+def fit_second_term(sweep_result: SweepResult, domain) -> FitReport:
     """Extract the boundary coefficient and the remainder decay exponent.
 
     The coefficient is the weighted least-squares slope of residual1
@@ -148,8 +145,8 @@ def fit_second_term(
     scale of the sample points; an exact input residual1 = c h^{-(d-1)}
     therefore fits to exactly -c. The remainder exponent is the log-log
     slope of |residual2| against h over the records whose residual2 is
-    above `residual_floor` * weyl1, skipping the largest (pre-asymptotic)
-    h values.
+    above RESIDUAL_FLOOR * weyl1, skipping the SKIP_LARGEST largest
+    (pre-asymptotic) h values.
     """
     recs = sweep_result.records
     if len(recs) < 5:
@@ -169,12 +166,12 @@ def fit_second_term(
 
     res2 = sweep_result.column("residual2")
     weyl1 = sweep_result.column("weyl1")
-    usable = np.abs(res2) > residual_floor * np.abs(weyl1)
-    usable[:skip_largest] = False
+    usable = np.abs(res2) > RESIDUAL_FLOOR * np.abs(weyl1)
+    usable[:SKIP_LARGEST] = False
     if usable.sum() < 2:
         raise FitError(
             f"only {int(usable.sum())} records usable for the remainder-exponent fit "
-            f"(floor {residual_floor:g}, {skip_largest} largest h excluded)"
+            f"(floor {RESIDUAL_FLOOR:g}, {SKIP_LARGEST} largest h excluded)"
         )
     slope = float(
         np.polyfit(np.log(hs[usable]), np.log(np.abs(res2[usable])), 1)[0]

@@ -40,6 +40,8 @@ from .domains import Box, Disk, _as_batch
 from .errors import ConfigError, DomainError, InvariantViolation, NumericsError
 
 FD_STEP_FACTOR = 1e-6  # symmetric finite-difference step, as a multiple of l0
+MAX_DEPTH = 4  # cell refinements in normalization_check
+SCALE_STEP_FACTOR = 1.0 / 32.0  # scale_integrals midpoint step, as a multiple of l0
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +108,24 @@ def distance_to_complement(domain, u):
     return domain.distance_to_complement(u)
 
 
+def _frame(sf: ScaleFunction, u: np.ndarray, x: np.ndarray):
+    """(l, grad l, z, |z|^2, W) at center u for a batch x, from one query at u:
+    z = (x - u)/l and W = 1 + (x - u) . grad l / l."""
+    l, grad, _ = sf._scale_and_grad(u[None, :])
+    l, grad = float(l[0]), grad[0]
+    diff = x - u[None, :]
+    z = diff / l
+    return l, grad, z, np.sum(z * z, axis=1), 1.0 + diff @ grad / l
+
+
 def jacobian_factor(sf: ScaleFunction, x, u) -> float:
     """J(x, u) = l^{-d} |1 + (x - u) . grad l(u) / l(u)| on |x - u| < l(u)."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    l = float(sf.scale(u))
+    l, _, _, _, w = _frame(sf, u, x[None, :])
     if np.linalg.norm(x - u) >= l:
         raise DomainError(f"point {x} outside the support ball of radius {l} at {u}")
-    grad, _flag = sf.grad_scale(u)
-    w = 1.0 + float((x - u) @ grad) / l
-    d = len(x)
-    return l**-d * abs(w)
+    return l ** -len(x) * abs(float(w[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +171,12 @@ class PartitionFunction:
 def partition_eval(pf: PartitionFunction, x) -> float | np.ndarray:
     """phi_u(x); exactly 0 outside the ball |x - u| < l(u)."""
     u = np.asarray(pf.center, dtype=float)
-    d = len(u)
     x, single = _as_batch(x)
-    l = pf.scale
-    grad, _ = pf.sf.grad_scale(u)
-    z = (x - u[None, :]) / l
-    r2 = np.sum(z * z, axis=1)
-    w = 1.0 + (x - u[None, :]) @ grad / l
+    _, _, _, r2, w = _frame(pf.sf, u, x)
     out = np.zeros(len(x))
     inside = r2 < 1.0
     out[inside] = (
-        _bump_constant(d) * np.exp(-1.0 / (1.0 - r2[inside])) * np.sqrt(w[inside])
+        _bump_constant(len(u)) * np.exp(-1.0 / (1.0 - r2[inside])) * np.sqrt(w[inside])
     )
     return float(out[0]) if single else out
 
@@ -180,19 +184,14 @@ def partition_eval(pf: PartitionFunction, x) -> float | np.ndarray:
 def partition_grad(pf: PartitionFunction, x) -> np.ndarray:
     """Gradient of phi_u in x; |grad phi_u| * l(u) stays bounded in u."""
     u = np.asarray(pf.center, dtype=float)
-    d = len(u)
     x, single = _as_batch(x)
-    l = pf.scale
-    grad_l, _ = pf.sf.grad_scale(u)
-    z = (x - u[None, :]) / l
-    r2 = np.sum(z * z, axis=1)
-    w = 1.0 + (x - u[None, :]) @ grad_l / l
+    l, grad_l, z, r2, w = _frame(pf.sf, u, x)
     out = np.zeros_like(x)
     inside = r2 < 1.0
     if inside.any():
         zi = z[inside]
         r2i = r2[inside]
-        phi = _bump_constant(d) * np.exp(-1.0 / (1.0 - r2i))
+        phi = _bump_constant(len(u)) * np.exp(-1.0 / (1.0 - r2i))
         dphi = phi[:, None] * (-2.0 * zi / (1.0 - r2i[:, None]) ** 2)
         wi = w[inside]
         out[inside] = (
@@ -237,9 +236,7 @@ def _eval_cells(integrand, centers, halfs, rule):
     return vals @ w * halfs**d
 
 
-def normalization_check(
-    sf: ScaleFunction, x, tol: float = 1e-3, *, max_depth: int = 4
-) -> float:
+def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
     """int phi_u(x)^2 l(u)^{-d} du, adaptively integrated; must be 1.
 
     The integrand is supported in {u : |x - u| < l(u)}, a subset of the
@@ -269,11 +266,11 @@ def normalization_check(
     total = 0.0
     err = 0.0
     budget = tol / 3.0
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         i_hi = _eval_cells(integrand, centers, halfs, hi_rule)
         i_lo = _eval_cells(integrand, centers, halfs, lo_rule)
         diff = np.abs(i_hi - i_lo)
-        if depth == max_depth:
+        if depth == MAX_DEPTH:
             total += float(i_hi.sum())
             err += float(diff.sum())
             break
@@ -320,9 +317,7 @@ def bounding_box(domain, margin: float) -> tuple[np.ndarray, np.ndarray]:
     raise ConfigError("localize supports square/box/disk domains only")
 
 
-def scale_integrals(
-    sf: ScaleFunction, a: float, *, step_factor: float = 1.0 / 32.0
-) -> tuple[float, float]:
+def scale_integrals(sf: ScaleFunction, a: float) -> tuple[float, float]:
     """(int_{U1} l^{-2} du, int_{U2} l^a du) by midpoint quadrature.
 
     U1 holds the interior centers whose closed ball avoids the boundary,
@@ -333,7 +328,7 @@ def scale_integrals(
     dom = sf.domain
     lo, hi = bounding_box(dom, 2.0 * sf.l0)
     d = dom.dim
-    step = sf.l0 * step_factor
+    step = sf.l0 * SCALE_STEP_FACTOR
     axes = [np.arange(lo[i] + step / 2.0, hi[i], step) for i in range(d)]
     grids = np.meshgrid(*axes, indexing="ij")
     u = np.stack([g.ravel() for g in grids], axis=1)
@@ -384,31 +379,26 @@ class BoundaryChart:
             raise ConfigError("chart needs radius > 0 and alpha in (0, 1]")
 
 
-def _check_chart_points(chart: BoundaryChart, xp: np.ndarray) -> None:
-    r = np.linalg.norm(np.atleast_2d(xp), axis=1)
-    if np.any(r > chart.radius * (1.0 + 1e-12)):
+def _shear(chart: BoundaryChart, x, sign: float) -> np.ndarray:
+    """(x', x_d) -> (x', x_d + sign * f(x')) on the chart disk."""
+    x, single = _as_batch(x)
+    xp = x[:, :-1]
+    if np.any(np.linalg.norm(xp, axis=1) > chart.radius * (1.0 + 1e-12)):
         raise DomainError(
             f"tangential coordinate outside the chart disk of radius {chart.radius}"
         )
+    y = x.copy()
+    y[:, -1] = x[:, -1] + sign * np.asarray(chart.f(xp))
+    return y[0] if single else y
 
 
 def straighten(chart: BoundaryChart, x) -> np.ndarray:
     """Volume-preserving flattening (x', x_d) -> (x', x_d - f(x'))."""
-    x, single = _as_batch(x)
-    xp = x[:, :-1]
-    _check_chart_points(chart, xp)
-    y = x.copy()
-    y[:, -1] = x[:, -1] - np.asarray(chart.f(xp))
-    return y[0] if single else y
+    return _shear(chart, x, -1.0)
 
 
 def unstraighten(chart: BoundaryChart, y) -> np.ndarray:
-    y, single = _as_batch(y)
-    yp = y[:, :-1]
-    _check_chart_points(chart, yp)
-    x = y.copy()
-    x[:, -1] = y[:, -1] + np.asarray(chart.f(yp))
-    return x[0] if single else x
+    return _shear(chart, y, 1.0)
 
 
 def mapped_volume_mc(

@@ -25,7 +25,7 @@ from .constants import constants
 from .domains import Ball, Box, Disk
 from .errors import CompletenessError, ConfigError, ResourceError
 
-DEFAULT_BUDGET = 10**8  # max stored eigenvalues
+DEFAULT_BUDGET = 10**8  # max stored eigenvalues; read at call time
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,14 @@ class Spectrum:
         return Spectrum(self.eigenvalues[self.eigenvalues < cutoff], cutoff, self.provenance)
 
 
-def _check_budget(estimate: float, budget: int, what: str) -> None:
-    if estimate > budget:
+def _check_budget(estimate: float, what: str) -> None:
+    if estimate > DEFAULT_BUDGET:
         raise ResourceError(
-            f"{what} would need ~{estimate:.3g} eigenvalues, over the budget {budget:g}"
+            f"{what} would need ~{estimate:.3g} eigenvalues, over the budget {DEFAULT_BUDGET:g}"
         )
 
 
-def box_spectrum(sides, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spectrum:
+def box_spectrum(sides, cutoff: float) -> Spectrum:
     """All eigenvalues pi^2 sum (m_i/a_i)^2 < cutoff, m_i >= 1.
 
     The lattice search is bounded (m_i <= a_i sqrt(cutoff)/pi), hence
@@ -69,7 +69,7 @@ def box_spectrum(sides, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spect
         raise ConfigError(f"cutoff must be positive, got {cutoff}")
     d = box.dim
     cons = constants(d)
-    _check_budget(1.2 * cons.C_d * box.volume * cutoff ** (d / 2) + 100, budget, "box spectrum")
+    _check_budget(1.2 * cons.C_d * box.volume * cutoff ** (d / 2) + 100, "box spectrum")
     q = cutoff / math.pi**2  # search sum (m_i/a_i)^2 < q
     partial = np.array([0.0])
     for a in box.sides[:-1]:
@@ -90,8 +90,9 @@ def box_spectrum(sides, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spect
         ev = ev[ev < cutoff]  # guard against roundoff at the edge
     else:
         ev = np.empty(0)
-    if ev.size > budget:
-        raise ResourceError(f"box spectrum has {ev.size} eigenvalues, over budget {budget}")
+    if ev.size > DEFAULT_BUDGET:
+        raise ResourceError(
+            f"box spectrum has {ev.size} eigenvalues, over budget {DEFAULT_BUDGET}")
     return Spectrum(ev, float(cutoff), "exact-box")
 
 
@@ -100,7 +101,7 @@ def _multiplicity(ell: int, d: int) -> int:
     return math.comb(ell + d - 1, d - 1) - math.comb(max(ell + d - 3, 0), d - 1)
 
 
-def _bessel_spectrum(ball, cutoff: float, budget: int) -> Spectrum:
+def _bessel_spectrum(ball, cutoff: float) -> Spectrum:
     """Disk or ball eigenvalues below `cutoff`. The order scan stops at the
     first order without a zero below R*sqrt(cutoff): j_{nu,1} > nu and
     j_{nu,1} increases with nu, so no later order can contribute."""
@@ -108,7 +109,7 @@ def _bessel_spectrum(ball, cutoff: float, budget: int) -> Spectrum:
         raise ConfigError(f"cutoff must be positive, got {cutoff}")
     d = ball.dim
     what = f"{type(ball).__name__.lower()} spectrum"
-    _check_budget(1.2 * constants(d).C_d * ball.volume * cutoff ** (d / 2) + 100, budget, what)
+    _check_budget(1.2 * constants(d).C_d * ball.volume * cutoff ** (d / 2) + 100, what)
     x_max = math.sqrt(cutoff) * ball.radius
     chunks = []
     ell = 0
@@ -120,54 +121,52 @@ def _bessel_spectrum(ball, cutoff: float, budget: int) -> Spectrum:
         ell += 1
     ev = np.sort(np.concatenate(chunks)) if chunks else np.empty(0)
     ev = ev[ev < cutoff]
-    if ev.size > budget:
-        raise ResourceError(f"{what} has {ev.size} eigenvalues, over budget {budget}")
+    if ev.size > DEFAULT_BUDGET:
+        raise ResourceError(f"{what} has {ev.size} eigenvalues, over budget {DEFAULT_BUDGET}")
     return Spectrum(ev, float(cutoff), "exact-bessel")
 
 
-def disk_spectrum(radius: float, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spectrum:
+def disk_spectrum(radius: float, cutoff: float) -> Spectrum:
     """Disk eigenvalues (j_{nu,k}/R)^2 < cutoff; multiplicity 2 for nu >= 1."""
-    return _bessel_spectrum(Disk(radius), cutoff, budget)
+    return _bessel_spectrum(Disk(radius), cutoff)
 
 
-def ball_spectrum(radius: float, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spectrum:
+def ball_spectrum(radius: float, cutoff: float) -> Spectrum:
     """Ball eigenvalues (j_{l+1/2,k}/R)^2 < cutoff, multiplicity 2l+1."""
-    return _bessel_spectrum(Ball(radius), cutoff, budget)
+    return _bessel_spectrum(Ball(radius), cutoff)
 
 
-def spectrum_for(domain, cutoff: float, *, budget: int = DEFAULT_BUDGET) -> Spectrum:
+def spectrum_for(domain, cutoff: float) -> Spectrum:
     if isinstance(domain, Box):
-        return box_spectrum(domain.sides, cutoff, budget=budget)
+        return box_spectrum(domain.sides, cutoff)
     if isinstance(domain, Disk):
-        return disk_spectrum(domain.radius, cutoff, budget=budget)
+        return disk_spectrum(domain.radius, cutoff)
     if isinstance(domain, Ball):
-        return ball_spectrum(domain.radius, cutoff, budget=budget)
+        return ball_spectrum(domain.radius, cutoff)
     raise ConfigError(f"no exact spectrum generator for {type(domain).__name__}")
 
 
-def save_spectrum(spectrum: Spectrum, csv_path, sidecar_path=None) -> None:
+def save_spectrum(spectrum: Spectrum, csv_path) -> None:
     """One eigenvalue per row under header `lambda`; provenance and cutoff
-    go to a JSON sidecar (default: same name with .json extension)."""
+    go to a JSON sidecar, the same name with a .json extension."""
     csv_path = Path(csv_path)
     with csv_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["lambda"])
         for lam in spectrum.eigenvalues:
             w.writerow([repr(float(lam))])
-    sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(".json")
-    sidecar.write_text(
+    csv_path.with_suffix(".json").write_text(
         json.dumps({"provenance": spectrum.provenance, "cutoff": spectrum.cutoff}, indent=2)
         + "\n"
     )
 
 
-def load_spectrum(csv_path, sidecar_path=None) -> Spectrum:
+def load_spectrum(csv_path) -> Spectrum:
     csv_path = Path(csv_path)
     with csv_path.open() as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["lambda"]:
         raise ConfigError(f"{csv_path} is not a spectrum CSV (expected header 'lambda')")
     ev = np.array([float(r[0]) for r in rows[1:]])
-    sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(".json")
-    meta = json.loads(sidecar.read_text())
+    meta = json.loads(csv_path.with_suffix(".json").read_text())
     return Spectrum(ev, float(meta["cutoff"]), str(meta["provenance"]))

@@ -16,7 +16,7 @@ def test_first_zero_of_j0():
     assert abs(bessel_j(0, 2.404826)) < 1e-5
 
 
-@pytest.mark.parametrize("nu", [0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 7, 20, 55.5, 120, 333])
+@pytest.mark.parametrize("nu", [0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 7, 20, 55.5, 120, 333, 500])
 def test_accuracy_against_scipy(nu):
     rng = np.random.default_rng(42)
     x = np.concatenate(

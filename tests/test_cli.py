@@ -12,7 +12,7 @@ def test_parse_domain():
     assert isinstance(parse_domain("square:1"), Box)
     assert parse_domain("box:1,2").sides == (1.0, 2.0)
     assert isinstance(parse_domain("disk:0.5"), Disk)
-    for bad in ("square", "cube:1", "disk:abc", "box:1,-2"):
+    for bad in ("square", "cube:1", "disk:abc", "box:1,-2", "box:1,nan", "disk:nan", "disk:inf"):
         with pytest.raises(ConfigError):
             parse_domain(bad)
 
@@ -23,7 +23,8 @@ def test_parse_h_grid():
     assert grid[0] == pytest.approx(0.1)
     assert grid[-1] == pytest.approx(0.01)
     assert all(a > b for a, b in zip(grid, grid[1:]))
-    for bad in ("lin:1:0.1:5", "log:0.1:0.2:5", "log:0.1:0.01", "log:a:b:5"):
+    for bad in ("lin:1:0.1:5", "log:0.1:0.2:5", "log:0.1:0.01", "log:a:b:5", "log:inf:0.05:5",
+                "log:nan:0.05:5"):
         with pytest.raises(ConfigError):
             parse_h_grid(bad)
 
@@ -97,17 +98,47 @@ def test_fd_command(tmp_path):
     assert len(lines) - 1 == 6
 
 
-def test_config_error_exit_code(capsys):
+def test_config_error_exit_code(tmp_path, capsys):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    fd, out = ["fd", "--polygon", str(poly)], ["--out", str(tmp_path / "o.csv")]
     for argv in (
         ["sweep", "--domain", "pentagon:1", "--h", "log:0.1:0.02:5"],
         ["--threads", "2", "constants", "--d", "2"],  # unknown flag
         ["nosuchcmd"],
         ["constants"],  # missing required option
+        ["sweep", "--domain", "box:1,nan", "--h", "log:0.1:0.02:5"],
+        ["sweep", "--domain", "disk:nan", "--h", "log:0.1:0.02:5"],
+        ["sweep", "--domain", "disk:1", "--h", "log:inf:0.05:5"],
+        ["halfspace", "--check", "profile", "--count", "-1"],
+        ["halfspace", "--T", "nan"],
+        ["halfspace", "--tol", "inf"],
+        ["localize", "--domain", "disk:1", "--l0", "0.1", "--grid", "-3", *out],
+        ["localize", "--domain", "disk:1", "--l0", "0.1", "--check-normalization", "-1", *out],
+        ["localize", "--domain", "disk:1", "--l0", "nan", *out],
+        [*fd, "--step", "nan", "--threshold", "100", *out],
+        [*fd, "--step", "0.1", "--threshold", "nan", *out],
+        [*fd, "--step", "0.1", "--threshold", "inf", *out],
     ):
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["exit_code"] == 2
         assert err["error"]["type"] == "ConfigError"
+
+
+def test_unwritable_out_exit_code(tmp_path, capsys):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    missing = tmp_path / "missing"
+    for argv in (
+        ["constants", "--d", "2", "--out", str(missing / "c.json")],
+        ["fd", "--polygon", str(poly), "--step", "0.25", "--threshold", "50",
+         "--out", str(missing / "s.csv")],
+    ):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError"
+        assert str(missing) in err["message"]
 
 
 def test_help_exits_zero(capsys):

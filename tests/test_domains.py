@@ -36,10 +36,14 @@ def test_ball_geometry():
 
 
 def test_invalid_shapes():
-    with pytest.raises(ConfigError):
-        Box((1.0, -1.0))
-    with pytest.raises(ConfigError):
-        Disk(0.0)
+    for bad in ((1.0, -1.0), (1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ConfigError):
+            Box(bad)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="^disk radius must be positive"):
+            Disk(radius)
+    with pytest.raises(ConfigError, match="^ball radius must be positive"):
+        Ball(-1.0)
     with pytest.raises(ConfigError):
         Polygon([(0, 0), (1, 0), (2, 0)])  # zero area
 
@@ -81,6 +85,18 @@ def test_disk_grad():
     g, smooth = d.grad_distance(np.array([0.5, 0.0]))
     assert smooth
     assert np.allclose(g, [-1.0, 0.0])
+
+
+def test_ball_queries():
+    b = Ball(1.0)
+    assert b.distance_to_complement(np.array([0.3, 0.0, 0.0])) == pytest.approx(0.7)
+    assert b.distance_to_complement(np.array([0.0, 2.0, 0.0])) == 0.0
+    assert b.distance_to_boundary(np.array([0.0, 0.0, 3.0])) == pytest.approx(2.0)
+    g, smooth = b.grad_distance(np.array([0.5, 0.0, 0.0]))
+    assert smooth
+    assert np.allclose(g, [-1.0, 0.0, 0.0])
+    pts = np.array([[0.1, 0.2, 0.3], [0.6, 0.6, 0.6], [0.0, 0.0, -0.99]])
+    assert b.contains(pts).tolist() == [True, False, True]
 
 
 def test_polygon_membership_and_edges():

@@ -119,6 +119,19 @@ def test_scale_and_grad_matches_public_paths():
         assert np.array_equal(flags, ref_flags)
 
 
+def test_partition_functions_query_distance_once():
+    dom = _CountingDomain(Disk(1.0))
+    sf = ScaleFunction(dom, 0.1)
+    u = np.array([0.5, 0.1])
+    pf = PartitionFunction(sf, tuple(u))
+    x = u + np.array([[0.01, 0.02], [-0.02, 0.0]])
+    for call in (lambda: partition_eval(pf, x), lambda: partition_grad(pf, x),
+                 lambda: jacobian_factor(sf, x[0], u)):
+        dom.queries = 0
+        call()
+        assert dom.queries == 1
+
+
 def test_distance_wrapper():
     assert distance_to_complement(square(1.0), np.array([0.5, 0.5])) == 0.5
 

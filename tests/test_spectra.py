@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+import weylkit.spectra
 from weylkit.constants import constants
 from weylkit.errors import CompletenessError, ResourceError
 from weylkit.spectra import (
@@ -155,11 +156,12 @@ def test_weyl_relative_error_decreases():
     assert errs[2] < 5e-3
 
 
-def test_budget_errors():
+def test_budget_errors(monkeypatch):
+    monkeypatch.setattr(weylkit.spectra, "DEFAULT_BUDGET", 100)
     with pytest.raises(ResourceError):
-        box_spectrum((1.0, 1.0), 1e6, budget=100)
+        box_spectrum((1.0, 1.0), 1e6)
     with pytest.raises(ResourceError):
-        disk_spectrum(1.0, 1e6, budget=100)
+        disk_spectrum(1.0, 1e6)
 
 
 def test_spectrum_for_dispatch():
