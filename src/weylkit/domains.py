@@ -225,6 +225,7 @@ class Polygon:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ConfigError("polygon needs an (n, 2) vertex array with n >= 3")
+        v = v[np.any(v != np.roll(v, -1, axis=0), axis=1)]  # drop zero-length edges
         self.vertices = v
         x, y = v[:, 0], v[:, 1]
         xn, yn = np.roll(x, -1), np.roll(y, -1)

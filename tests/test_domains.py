@@ -14,6 +14,7 @@ from weylkit.domains import (
     square,
 )
 from weylkit.errors import ConfigError
+from weylkit.fdlap import assemble
 
 
 def test_box_geometry():
@@ -116,6 +117,22 @@ def test_polygon_membership_and_edges():
     )
     inside = L.contains(pts)
     assert list(inside) == [True, False, True, False, False, True, False]
+
+
+def test_polygon_repeated_vertices():
+    """A closed ring (last vertex repeats the first) or a doubled vertex is
+    the same polygon: same membership, distances and FD nodes."""
+    ring = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    open_sq = Polygon(ring)
+    grid = np.mgrid[-0.25:1.3:0.125, -0.25:1.3:0.125].reshape(2, -1).T
+    for verts in (ring + [ring[0]], [ring[0], *ring[:2], ring[1], *ring[2:]]):
+        p = Polygon(verts)
+        assert p.vertices.tolist() == open_sq.vertices.tolist()
+        assert p.contains(grid).tolist() == open_sq.contains(grid).tolist()
+        assert np.array_equal(p.distance_to_boundary(grid), open_sq.distance_to_boundary(grid))
+        assert assemble(p, 0.125).nodes.tolist() == assemble(open_sq, 0.125).nodes.tolist()
+    with pytest.raises(ConfigError):
+        Polygon([(0, 0), (1, 0), (1, 0), (0, 0)])  # two distinct vertices
 
 
 def test_polygon_distance():
