@@ -6,8 +6,9 @@ The scale function attached to a domain is
     l(u) = 1/2 (1 + (d(u)^2 + l0^2)^{-1/2})^{-1},   0 < l0 <= 1,
 
 with d(u) the distance to the complement. It satisfies l0/4 <= l <= 1/2,
-l(u) >= min(d(u), 1)/4, and l(u) <= l0/sqrt(3) whenever the closed ball
-of radius l(u) around u touches the boundary.
+l(u) >= min(d(u), 1)/4, l is 1/2-Lipschitz (dl/ds <= 1/2 and
+s = hypot(d, l0) is 1-Lipschitz in u), and l(u) <= l0/sqrt(3) whenever
+the closed ball of radius l(u) around u touches the boundary.
 
 Around every center u lives the localization function
 
@@ -41,6 +42,7 @@ from .errors import ConfigError, DomainError, InvariantViolation, NumericsError
 
 FD_STEP_FACTOR = 1e-6  # symmetric finite-difference step, as a multiple of l0
 MAX_DEPTH = 4  # cell refinements in normalization_check
+SEED_CELL_FACTOR = 1.0 / 6.0  # normalization_check seed cell size, as a multiple of l(x)
 SCALE_STEP_FACTOR = 1.0 / 32.0  # scale_integrals midpoint step, as a multiple of l0
 
 
@@ -239,12 +241,15 @@ def _eval_cells(integrand, centers, halfs, rule):
 def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
     """int phi_u(x)^2 l(u)^{-d} du, adaptively integrated; must be 1.
 
-    The integrand is supported in {u : |x - u| < l(u)}, a subset of the
-    ball of radius 1/2 around x since l <= 1/2. Seeded with a uniform
-    cell grid of step l0/8 (the integrand varies on scale l(u) >= l0/4),
-    cells are refined where a 3- vs 5-point Gauss comparison flags error.
-    Raises NumericsError if the quadrature cannot reach `tol`, and
-    InvariantViolation if the converged value is not within `tol` of 1.
+    l is 1/2-Lipschitz, so phi_u(x) != 0 needs |x - u| < l(u) <= l(x) +
+    |x - u|/2: the integrand is supported in the ball of radius
+    R = min(1/2, 2 l(x)) around x, and on its support l(u) > 2 l(x)/3.
+    That ball is seeded with a uniform cell grid of step
+    SEED_CELL_FACTOR * l(x), four cells per smallest scale of variation
+    there, and cells are refined where a 3- vs 5-point Gauss comparison
+    flags error. Raises NumericsError if the quadrature cannot reach
+    `tol`, and InvariantViolation if the converged value is not within
+    `tol` of 1.
     """
     if tol <= 0:
         raise ConfigError(f"tol must be positive, got {tol}")
@@ -254,13 +259,15 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
     lo_rule = _tensor_rule(d, 3)
     hi_rule = _tensor_rule(d, 5)
 
-    h0 = sf.l0 / 8.0
-    n = int(math.ceil(0.5 / h0)) + 1
+    lx = float(sf.scale(x))
+    radius = min(0.5, 2.0 * lx)
+    h0 = SEED_CELL_FACTOR * lx
+    n = int(math.ceil(radius / h0)) + 1
     offs = (np.arange(-n, n) + 0.5) * h0
     grids = np.meshgrid(*([offs] * d), indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=1) + x[None, :]
     halfs = np.full(len(centers), h0 / 2.0)
-    keep = np.linalg.norm(centers - x[None, :], axis=1) <= 0.5 + halfs * math.sqrt(d)
+    keep = np.linalg.norm(centers - x[None, :], axis=1) <= radius + halfs * math.sqrt(d)
     centers, halfs = centers[keep], halfs[keep]
 
     total = 0.0

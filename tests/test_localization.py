@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from weylkit.domains import Box, Disk, HalfSpace, square
-from weylkit.errors import ConfigError, DomainError, InvariantViolation
+from weylkit.domains import Ball, Box, Disk, HalfSpace, square
+from weylkit.errors import ConfigError, DomainError, InvariantViolation, NumericsError
 from weylkit.localization import (
     BoundaryChart,
     PartitionFunction,
@@ -15,6 +17,7 @@ from weylkit.localization import (
     holder_chart,
     jacobian_factor,
     mapped_volume_mc,
+    _normalization_integrand,
     mother_bump,
     normalization_check,
     partition_eval,
@@ -245,11 +248,107 @@ def test_normalization_near_boundary(domain, x):
     assert abs(val - 1.0) < 1e-3
 
 
+class _FlatGradientScale(ScaleFunction):
+    """The right l with grad l replaced by 0: a wrong Jacobian weight W = 1."""
+
+    def _scale_and_grad(self, u):
+        l, grad, flagged = super()._scale_and_grad(u)
+        return l, np.zeros_like(grad), flagged
+
+
 def test_normalization_flags_bad_scale():
-    # a wrong integrand must raise, not return quietly: simulate by tiny tol
+    # a tol the quadrature cannot certify
     sf = ScaleFunction(Disk(1.0), 0.1)
-    with pytest.raises((InvariantViolation, Exception)):
+    with pytest.raises(NumericsError):
         normalization_check(sf, np.array([0.9, 0.0]), tol=1e-12)
+    # a wrong integrand converges, but off 1 by 0.7%-1.6% at these points
+    bad = _FlatGradientScale(Disk(1.0), 0.1)
+    for x in ((0.5, 0.0), (0.9, 0.0), (0.95, 0.0)):
+        with pytest.raises(InvariantViolation):
+            normalization_check(bad, np.array(x), tol=1e-3)
+
+
+_SUPPORT_DOMAINS = {"square": square(1.0), "disk": Disk(1.0), "half": HalfSpace(2)}
+
+
+def _boundary_frame(name: str, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(boundary point, inward unit normal) at boundary parameter t in [0, 1]."""
+    if name == "disk":
+        p = np.array([math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)])
+        return p, -p
+    if name == "half":
+        return np.array([4.0 * t - 2.0, 0.0]), np.array([0.0, 1.0])
+    side = min(int(4 * t), 3)
+    s = 4 * t - side
+    return [
+        (np.array([s, 0.0]), np.array([0.0, 1.0])),
+        (np.array([1.0, s]), np.array([-1.0, 0.0])),
+        (np.array([s, 1.0]), np.array([0.0, -1.0])),
+        (np.array([0.0, s]), np.array([1.0, 0.0])),
+    ][side]
+
+
+@st.composite
+def _support_cases(draw):
+    """(domain, l0, x) with x inside, outside, in the collar or on the square's ridge."""
+    name = draw(st.sampled_from(sorted(_SUPPORT_DOMAINS)))
+    l0 = draw(st.floats(0.02, 1.0))
+    kind = draw(st.sampled_from(["inside", "outside", "collar", "ridge"]))
+    t = draw(st.floats(0.0, 1.0))
+    if kind == "ridge":
+        name = "square"
+        x = np.array([t, t]) if draw(st.booleans()) else np.array([t, 1.0 - t])
+    else:
+        depth = {"square": 0.5, "disk": 1.0, "half": 2.0}[name]
+        lo, hi = {"inside": (0.0, depth), "outside": (-0.5, 0.0), "collar": (-2 * l0, 2 * l0)}[kind]
+        p, n = _boundary_frame(name, t)
+        x = p + draw(st.floats(lo, hi)) * n
+    return _SUPPORT_DOMAINS[name], l0, x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_support_cases(), data=st.data())
+def test_normalization_support_lemma(case, data):
+    # l is 1/2-Lipschitz, so phi_u(x) != 0 needs |x - u| < 2 l(x), and then
+    # l(u) > 2 l(x)/3: normalization_check seeds only that ball
+    domain, l0, x = case
+    sf = ScaleFunction(domain, l0)
+    lx = float(sf.scale(x))
+    # radii anywhere in B(x, 1/2), and around the support edge 2 l(x)
+    radius = st.one_of(
+        st.floats(0.0, 0.5), st.floats(0.0, 1.25).map(lambda f: min(0.5, 2 * lx * f))
+    )
+    polar = data.draw(
+        st.lists(st.tuples(radius, st.floats(0.0, 2 * math.pi)), min_size=1, max_size=32)
+    )
+    r = np.array([p[0] for p in polar])
+    theta = np.array([p[1] for p in polar])
+    u = x[None, :] + r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    vals = _normalization_integrand(sf, x)(u)
+    outside = np.linalg.norm(x[None, :] - u, axis=1) >= 2 * lx
+    assert np.all(vals[outside] == 0.0)
+    assert np.all(np.asarray(sf.scale(u))[vals != 0.0] > 2 * lx / 3)
+
+
+@pytest.mark.parametrize(
+    "domain,l0,x",
+    [
+        (square(1.0), l0, x)
+        for l0 in (1.0, 0.02)
+        for x in ((0.0, 0.0), (0.01, 0.01), (0.3, 0.3), (0.5, 0.5), (0.2, 0.8), (0.02, 0.5))
+    ]
+    + [(Disk(1.0), l0, x) for l0 in (1.0, 0.02) for x in ((0.0, 0.0), (0.99, 0.0), (1.02, 0.0))]
+    + [(HalfSpace(2), l0, x) for l0 in (1.0, 0.02) for x in ((0.0, 0.01), (0.0, -0.01))]
+    + [(Box((1.0, 1.0, 1.0)), 0.1, x) for x in ((0.0, 0.0, 0.0), (0.3, 0.3, 0.3))]
+    + [(Ball(1.0), 0.1, x) for x in ((0.0, 0.0, 0.0), (0.95, 0.0, 0.0))],
+    ids=lambda v: (",".join(f"{c:g}" for c in v) if isinstance(v, tuple)
+                   else f"l0={v:g}" if isinstance(v, float) else type(v).__name__),
+)
+def test_normalization_accuracy_envelope(domain, l0, x):
+    # the edges of l0 in [0.02, 1], the square's corner and diagonal ridge,
+    # and d = 3, which a seed over all of B(x, 1/2) could not afford
+    val = normalization_check(ScaleFunction(domain, l0), np.array(x), tol=1e-3)
+    assert abs(val - 1.0) < 1e-3 / 5
 
 
 # ---------------------------------------------------------------------------
