@@ -20,7 +20,7 @@ from .domains import (
     lshape_polygon,
     square,
 )
-from .bessel import bessel_j, bessel_zeros, zeros_below
+from .bessel import bessel_j, bessel_zeros, zeros_below, zeros_below_orders
 from .spectra import (
     Spectrum,
     ball_spectrum,

@@ -6,13 +6,16 @@ pi^2 sum (m_i/a_i)^2). Disks and balls share one builder,
 for the orders nu = l + d/2 - 1, l = 0, 1, ..., each repeated by the
 dimension of the degree-l spherical harmonics,
 C(l+d-1, d-1) - C(l+d-3, d-1) (the second term is 0 when l+d < 3),
-that is 1, 2, 2, ... for the disk and 2l+1 for the ball.
+that is 1, 2, 2, ... for the disk and 2l+1 for the ball. The zeros of
+all orders come from one batched pass (`bessel.zeros_below_orders`), in
+which each order's scan, bisection and Newton steps stop on their own.
 Eigenvalues are stored as a flat sorted float array with multiplicity.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bessel import zeros_below
+from .bessel import zeros_below_orders
 from .constants import constants
 from .domains import Ball, Box, Disk
 from .errors import CompletenessError, ConfigError, ResourceError
@@ -102,8 +105,9 @@ def _multiplicity(ell: int, d: int) -> int:
 
 
 def _bessel_spectrum(ball, cutoff: float) -> Spectrum:
-    """Disk or ball eigenvalues below `cutoff`. The order scan stops at the
-    first order without a zero below R*sqrt(cutoff): j_{nu,1} > nu and
+    """Disk or ball eigenvalues below `cutoff`. The zeros below R*sqrt(cutoff)
+    of every order nu <= R*sqrt(cutoff) are found in one batched pass; the
+    spectrum stops at the first order without one: j_{nu,1} > nu and
     j_{nu,1} increases with nu, so no later order can contribute."""
     if cutoff <= 0:
         raise ConfigError(f"cutoff must be positive, got {cutoff}")
@@ -111,14 +115,13 @@ def _bessel_spectrum(ball, cutoff: float) -> Spectrum:
     what = f"{type(ball).__name__.lower()} spectrum"
     _check_budget(1.2 * constants(d).C_d * ball.volume * cutoff ** (d / 2) + 100, what)
     x_max = math.sqrt(cutoff) * ball.radius
+    orders = list(itertools.takewhile(lambda nu: nu <= x_max,
+                                      (ell + d / 2 - 1 for ell in itertools.count())))
     chunks = []
-    ell = 0
-    while ell + d / 2 - 1 <= x_max:
-        zs = zeros_below(ell + d / 2 - 1, x_max)
+    for ell, zs in enumerate(zeros_below_orders(orders, x_max)):
         if zs.size == 0:
             break
         chunks.append(np.repeat((zs / ball.radius) ** 2, _multiplicity(ell, d)))
-        ell += 1
     ev = np.sort(np.concatenate(chunks)) if chunks else np.empty(0)
     ev = ev[ev < cutoff]
     if ev.size > DEFAULT_BUDGET:
