@@ -19,17 +19,20 @@ per group, so a group's values are bitwise those of a `bessel_j` call on
 its points alone; `bessel_j` is the one-group call. One upward recurrence
 to the largest order picks up J_nu at each point's own order.
 
-Zeros of all requested orders are found in one batched pass: a scan for
-sign changes on a unit-step grid per order (the gap between consecutive
-zeros of any J_nu exceeds 3, so no zero can be skipped), then bisection
-plus safeguarded Newton refinement of every bracket at once, one group
-per order. Consecutive orders are checked to interlace. Asymptotic
-spacing estimates are used only to size the scan window.
+Zeros of many orders are found together, in batched passes over runs of
+consecutive orders of about PASS_POINTS grid points each (one order's
+grid is never split): a scan for sign changes on a unit-step grid per
+order (the gap between consecutive zeros of any J_nu exceeds 3, so no
+zero can be skipped), then bisection plus safeguarded Newton refinement
+of every bracket of the pass at once, one group per order. Consecutive
+orders are checked to interlace. Asymptotic spacing estimates are used
+only to size the scan window.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from scipy.special import gammaln
@@ -42,6 +45,7 @@ from .errors import ConfigError, InvariantViolation
 _SERIES_LOG_GUARD = math.log(1e5)
 
 SCAN_STEP = 1.0  # zero scan; must stay below the minimal zero gap (> 3) to skip none
+PASS_POINTS = 1 << 16  # scan-grid points per batched zero pass; bounds its memory
 
 def _check_order(nu: float) -> float:
     nu = float(nu)
@@ -382,16 +386,9 @@ def _check_interlacing(orders, zeros, x_max: float) -> None:
                 f"zeros of J_{nu} ({n}) and J_{mu} ({m}) below {x_max} do not interlace")
 
 
-def zeros_below_orders(orders, x_max: float) -> list[np.ndarray]:
-    """All positive zeros strictly below x_max of J_nu for each nu in
-    `orders`, in order, found in one batched pass.
-
-    Each scan grid starts below its first zero (which exceeds nu) and its
-    step SCAN_STEP is far below the minimal gap (> 3) between consecutive
-    zeros, so sign-change bracketing is exhaustive. Raises
-    InvariantViolation if the zeros of consecutive orders do not interlace.
-    """
-    orders = [_check_order(nu) for nu in orders]
+def _zeros_pass(orders, x_max: float) -> list[np.ndarray]:
+    """The zeros below x_max of each of `orders` (checked), from one
+    concatenated scan grid and one batched refinement of its brackets."""
     zeros = [np.empty(0) for _ in orders]
     live = [i for i, nu in enumerate(orders) if x_max > nu]
     if live:
@@ -412,14 +409,39 @@ def zeros_below_orders(orders, x_max: float) -> list[np.ndarray]:
         for i, z in zip(live, np.split(zs, np.cumsum(sizes)[:-1])):
             z = np.unique(z)
             zeros[i] = z[z < x_max]
-    _check_interlacing(orders, zeros, x_max)
     return zeros
+
+
+def zeros_below_orders(orders, x_max: float) -> Iterator[np.ndarray]:
+    """Yield, for each nu in `orders` in turn, all positive zeros of J_nu
+    strictly below x_max.
+
+    Each scan grid starts below its first zero (which exceeds nu) and its
+    step SCAN_STEP is far below the minimal gap (> 3) between consecutive
+    zeros, so sign-change bracketing is exhaustive. Consecutive orders
+    share one batched pass while their grids start within the same window
+    of PASS_POINTS grid points, and a pass runs only when its first order
+    is asked for: memory stays bounded and a caller that stops early skips
+    the later passes. Raises InvariantViolation if the zeros of
+    consecutive orders do not interlace.
+    """
+    orders = [_check_order(nu) for nu in orders]
+    runs, at = {}, 0.0
+    for nu in orders:
+        runs.setdefault(int(at // PASS_POINTS), []).append(nu)
+        at += max(x_max - nu + 2.0, 0.0)  # about the size of nu's grid
+    prev_nu, prev_z = [], []
+    for run in runs.values():
+        zeros = _zeros_pass(run, x_max)
+        _check_interlacing(prev_nu + run, prev_z + zeros, x_max)
+        prev_nu, prev_z = run[-1:], zeros[-1:]
+        yield from zeros
 
 
 def zeros_below(nu: float, x_max: float) -> np.ndarray:
     """All positive zeros of J_nu strictly below x_max, in order: the
     one-order call of `zeros_below_orders`."""
-    return zeros_below_orders([nu], x_max)[0]
+    return next(zeros_below_orders([nu], x_max))
 
 
 def bessel_zeros(nu: float, count: int) -> np.ndarray:

@@ -7,8 +7,9 @@ for the orders nu = l + d/2 - 1, l = 0, 1, ..., each repeated by the
 dimension of the degree-l spherical harmonics,
 C(l+d-1, d-1) - C(l+d-3, d-1) (the second term is 0 when l+d < 3),
 that is 1, 2, 2, ... for the disk and 2l+1 for the ball. The zeros of
-all orders come from one batched pass (`bessel.zeros_below_orders`), in
-which each order's scan, bisection and Newton steps stop on their own.
+all orders come from batched passes over runs of consecutive orders
+(`bessel.zeros_below_orders`), in which each order's scan, bisection and
+Newton steps stop on their own.
 Eigenvalues are stored as a flat sorted float array with multiplicity.
 """
 
@@ -106,9 +107,10 @@ def _multiplicity(ell: int, d: int) -> int:
 
 def _bessel_spectrum(ball, cutoff: float) -> Spectrum:
     """Disk or ball eigenvalues below `cutoff`. The zeros below R*sqrt(cutoff)
-    of every order nu <= R*sqrt(cutoff) are found in one batched pass; the
-    spectrum stops at the first order without one: j_{nu,1} > nu and
-    j_{nu,1} increases with nu, so no later order can contribute."""
+    of the orders nu <= R*sqrt(cutoff) come in batched passes; the spectrum
+    stops at the first order without one, and no later pass runs:
+    j_{nu,1} > nu and j_{nu,1} increases with nu, so no later order can
+    contribute."""
     if cutoff <= 0:
         raise ConfigError(f"cutoff must be positive, got {cutoff}")
     d = ball.dim

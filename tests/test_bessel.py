@@ -418,9 +418,12 @@ def test_upward_route_starts_above_14(monkeypatch):
     assert seen and min(seen) > 14.0
 
 
-def test_interlacing_certificate(monkeypatch):
+@pytest.mark.parametrize("pass_points", [bessel.PASS_POINTS, 1])
+def test_interlacing_certificate(monkeypatch, pass_points):
+    """Also across passes: with PASS_POINTS = 1 every order is a pass."""
+    monkeypatch.setattr(bessel, "PASS_POINTS", pass_points)
     orders = [0.0, 1.0, 2.0, 3.0]
-    good = zeros_below_orders(orders, 30.0)
+    good = list(zeros_below_orders(orders, 30.0))
     for a, b in zip(good, good[1:]):
         assert a.size - 1 <= b.size <= a.size
         assert np.all(a[: b.size] < b) and np.all(b[: a.size - 1] < a[1:])
@@ -428,10 +431,41 @@ def test_interlacing_certificate(monkeypatch):
 
     def shifted(group_orders, sizes, lo, hi):
         z = refine(group_orders, sizes, lo, hi)
-        z[sizes[0]] += 3.5  # j_{1,1} = 3.83 moves past j_{0,2} = 5.52
+        if 1.0 in group_orders:  # j_{1,1} = 3.83 moves past j_{0,2} = 5.52
+            z[sizes[: list(group_orders).index(1.0)].sum()] += 3.5
         return z
 
     monkeypatch.setattr(bessel, "_refine", shifted)
     with pytest.raises(InvariantViolation):
-        zeros_below_orders(orders, 30.0)
+        list(zeros_below_orders(orders, 30.0))
     assert main(["fit", "--domain", "disk:1", "--h", "log:0.2:0.05:5"]) == 3
+
+
+@pytest.mark.parametrize("ladder", [0.0, 0.5])
+def test_passes_do_not_move_zeros(monkeypatch, ladder):
+    """Orders split over many passes give the bytes of one pass."""
+    orders = _orders_below(ladder, 47.0)
+    whole = list(zeros_below_orders(orders, 47.0))
+    assert len(whole) == len(orders)
+    for pass_points in (1, 7, 150):
+        monkeypatch.setattr(bessel, "PASS_POINTS", pass_points)
+        for a, b in zip(whole, zeros_below_orders(orders, 47.0), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d, build", [(2, disk_spectrum), (3, ball_spectrum)])
+def test_spectrum_stops_after_first_empty_order(monkeypatch, d, build):
+    """No pass runs after the one holding the first order without a zero."""
+    monkeypatch.setattr(bessel, "PASS_POINTS", 1)  # one order per pass
+    seen = []
+    zeros_pass = bessel._zeros_pass
+
+    def spy(orders, x_max):
+        seen.extend(orders)
+        return zeros_pass(orders, x_max)
+
+    monkeypatch.setattr(bessel, "_zeros_pass", spy)
+    got = build(1.0, 400.0).eigenvalues
+    assert got.tobytes() == _ref_bessel_spectrum(d, 1.0, 400.0).tobytes()
+    first_empty = next(nu for nu in seen if _ref_zeros_below(nu, 20.0).size == 0)
+    assert seen[-1] == first_empty < 19.0
