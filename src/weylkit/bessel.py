@@ -12,19 +12,18 @@ three routes chosen per point:
   * downward (Miller) recurrence with Neumann-series normalization when
     x < nu and the series is unsafe.
 
-The evaluator works on a batch split into consecutive groups, each with
-its own order. The series and the Hankel expansion stop when the largest
-term of the group (not of the batch) is negligible, and Miller rescales
-per group, so a group's values are bitwise those of a `bessel_j` call on
-its points alone; `bessel_j` is the one-group call. One upward recurrence
-to the largest order picks up J_nu at each point's own order.
+The evaluator takes one order per point. The series and the Hankel
+expansion stop each point on its own terms, and Miller rescales each
+point on its own, so a value never depends on the rest of its batch: it
+is bitwise that of a `bessel_j` call on its point alone. One upward
+recurrence to the largest order picks up J_nu at each point's own order.
 
 Zeros of many orders are found together, in batched passes over runs of
 consecutive orders of about PASS_POINTS grid points each (one order's
 grid is never split): a scan for sign changes on a unit-step grid per
 order (the gap between consecutive zeros of any J_nu exceeds 3, so no
 zero can be skipped), then bisection plus safeguarded Newton refinement
-of every bracket of the pass at once, one group per order. Consecutive
+of every bracket of the pass at once, each with its own order. Consecutive
 orders are checked to interlace. Asymptotic spacing estimates are used
 only to size the scan window.
 """
@@ -56,81 +55,36 @@ def _check_order(nu: float) -> float:
     return nu
 
 
-def _pick(a, mask):
-    """`a` at the points of `mask`; a scalar or None (one group) stays as is."""
-    return a[mask] if isinstance(a, np.ndarray) else a
-
-
-def _groups(gid):
-    """(start, size) of each group in a batch sorted by group id; (None,
-    None) for one group."""
-    if gid is None:
-        return None, None
-    seg = np.flatnonzero(np.r_[True, gid[1:] != gid[:-1]])
-    return seg, np.diff(seg, append=gid.size)
-
-
-def _gmax(a: np.ndarray, seg):
-    """Largest entry of each group: one scalar when seg is None (one group)."""
-    return np.maximum.reduce(a) if seg is None else np.maximum.reduceat(a, seg)
-
-
-def _count(flags) -> tuple[int, int]:
-    """(groups flagged, groups) for per-group flags from `_gmax`."""
-    if isinstance(flags, np.ndarray):
-        return np.count_nonzero(flags), flags.size
-    return int(flags), 1
-
-
-def _retire(done, sizes, pos, live, finals):
-    """Write the groups flagged in `done` from the leading `live` arrays to
-    `finals` and drop them from every live array. `pos` holds the batch
-    slots of the live points (None: all of them, in order). Returns the
-    starts, sizes and slots of the groups left, and their live arrays."""
-    keep = np.repeat(~done, sizes)
-    if pos is None:
-        pos = np.arange(keep.size)
-    gone = ~keep
-    for out, arr in zip(finals, live):
-        out[pos[gone]] = arr[gone]
-    sizes = sizes[~done]
-    return np.cumsum(sizes) - sizes, sizes, pos[keep], [_pick(a, keep) for a in live]
-
-
-def _placed(out, pos, arr):
-    if pos is None:
-        return arr
-    out[pos] = arr
-    return out
-
-
-def _series(nu, lg, x, gid=None) -> np.ndarray:
-    """Ascending series; nu and lg = lgamma(nu + 1) are scalars or per point.
-    Each group stops on its own largest term. Caller guarantees
-    cancellation safety and x > 0."""
+def _series(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Ascending series, with one order per point. Each point stops on its
+    own term. Caller guarantees cancellation safety and x > 0."""
+    orders = np.unique(nu)
+    lg = np.array([math.lgamma(o + 1.0) for o in orders])[np.searchsorted(orders, nu)]
     h = 0.5 * x
     log_t0 = nu * np.log(h) - lg
     term = np.where(log_t0 < -745.0, 0.0, np.exp(np.clip(log_t0, -745.0, None)))
     total = term.copy()
     h2 = h * h
     out = np.empty_like(x)
-    (seg, sizes), pos = _groups(gid), None
+    pos = np.arange(x.size)  # batch slots of the points still summing
     for k in range(300):
         term = -term * h2 / ((k + 1.0) * (nu + k + 1.0))
         total += term
-        done = _gmax(np.abs(term), seg) <= 1e-17 * (_gmax(np.abs(total), seg) + 1e-300)
-        n_done, groups = _count(done)
-        if n_done == groups:
-            break
+        done = np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300)
+        n_done = np.count_nonzero(done)
         if n_done:
-            seg, sizes, pos, (total, term, h2, nu) = _retire(
-                done, sizes, pos, (total, term, h2, nu), (out,))
-    return _placed(out, pos, total)
+            out[pos[done]] = total[done]
+            if n_done == pos.size:
+                return out
+            keep = np.flatnonzero(~done)
+            pos, term, total, h2, nu = pos[keep], term[keep], total[keep], h2[keep], nu[keep]
+    out[pos] = total
+    return out
 
 
-def _hankel(nu: float, x: np.ndarray, gid=None) -> np.ndarray:
+def _hankel(nu: float, x: np.ndarray) -> np.ndarray:
     """Large-argument expansion; adequate for nu in {0, 1}, x > 14. Each
-    group stops where its own terms start to grow or become negligible.
+    point stops where its own terms start to grow or become negligible.
     The upward route only reaches x > 14: below that the series is safe for
     every order."""
     mu = 4.0 * nu * nu
@@ -139,36 +93,30 @@ def _hankel(nu: float, x: np.ndarray, gid=None) -> np.ndarray:
     p = np.ones_like(x)
     q = np.zeros_like(x)
     p_out, q_out = np.empty_like(x), np.empty_like(x)
-    (seg, sizes), pos = _groups(gid), None
-    prev = np.inf
+    pos = np.arange(x.size)  # batch slots of the points still summing
+    prev = np.full_like(x, np.inf)
+    small = np.zeros(x.size, dtype=bool)  # the last term added was negligible
     for m in range(1, 40):
         c = c * (mu - (2 * m - 1) ** 2) / (m * eight_x)
-        mag = _gmax(np.abs(c), seg)
-        grew = mag > prev  # asymptotic tail started to diverge
-        n_grew, groups = _count(grew)
-        if n_grew == groups:
-            break
-        if n_grew:
-            seg, sizes, pos, (p, q, c, eight_x) = _retire(
-                grew, sizes, pos, (p, q, c, eight_x), (p_out, q_out))
-            mag = mag[~grew]
+        mag = np.abs(c)
+        done = small | (mag > prev)  # or the asymptotic tail started to diverge
+        n_done = np.count_nonzero(done)
+        if n_done:
+            p_out[pos[done]], q_out[pos[done]] = p[done], q[done]
+            if n_done == pos.size:
+                break
+            keep = np.flatnonzero(~done)
+            pos, p, q, c, mag, eight_x = (a[keep] for a in (pos, p, q, c, mag, eight_x))
         prev = mag
-        sign = -1.0 if (m // 2) % 2 else 1.0
-        if m % 2:
-            q += sign * c
+        acc = q if m % 2 else p
+        if (m // 2) % 2:
+            acc -= c
         else:
-            p += sign * c
+            acc += c
         small = mag < 1e-17
-        n_small, groups = _count(small)
-        if n_small == groups:
-            break
-        if n_small:
-            seg, sizes, pos, (p, q, c, eight_x) = _retire(
-                small, sizes, pos, (p, q, c, eight_x), (p_out, q_out))
-            prev = mag[~small]
-    p, q = _placed(p_out, pos, p), _placed(q_out, pos, q)
+    p_out[pos], q_out[pos] = p, q
     omega = x - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (np.cos(omega) * p - np.sin(omega) * q)
+    return np.sqrt(2.0 / (math.pi * x)) * (np.cos(omega) * p_out - np.sin(omega) * q_out)
 
 
 def _half_base(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,25 +124,19 @@ def _half_base(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pref * np.sin(x), pref * (np.sin(x) / x - np.cos(x))
 
 
-def _climb(nu, x, jm1, j, order: float) -> np.ndarray:
+def _climb(nu: np.ndarray, x, jm1, j, order: float) -> np.ndarray:
     """Upward recurrence from jm1 = J_{order-1}, j = J_order to J_nu, with
-    nu a scalar or one order per point on the same ladder."""
-    if not isinstance(nu, np.ndarray):
-        if nu == order - 1.0:
-            return jm1
-        while order < nu:
-            jm1, j = j, (2.0 * order) / x * j - jm1
-            order += 1.0
-        return j
+    one order per point, all on the same ladder."""
     # sorted by order, the points still climbing are a shrinking suffix
-    perm = np.argsort(nu, kind="stable")
+    perm = nu.argsort(kind="stable")
     nu, x, jm1, j = nu[perm], x[perm], jm1[perm], j[perm]
+    # ends[i]: the number of points of order <= order - 1 + i
+    ends = nu.searchsorted(np.arange(order - 1.0, nu[-1] + 1.0), "right").tolist()
     res = np.empty_like(x)
-    base = np.searchsorted(nu, order - 1.0, "right")
+    base = ends[0]
     res[:base] = jm1[:base]
     x, jm1, j = x[base:], jm1[base:], j[base:]
-    while True:
-        top = np.searchsorted(nu, order, "right")
+    for top in ends[1:]:
         res[base:top] = j[: top - base]
         if top == nu.size:
             break
@@ -207,17 +149,13 @@ def _climb(nu, x, jm1, j, order: float) -> np.ndarray:
     return out
 
 
-def _upward(nu, x: np.ndarray, gid=None) -> np.ndarray:
+def _upward(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """J_nu for x >= nu by upward recurrence along each point's ladder."""
-    if not isinstance(nu, np.ndarray):
-        if float(nu).is_integer():
-            return _climb(nu, x, _hankel(0.0, x, gid), _hankel(1.0, x, gid), 1.0)
-        return _climb(nu, x, *_half_base(x), 1.5)
     out = np.empty_like(x)
-    whole = nu % 1.0 == 0.0
+    whole = np.floor(nu) == nu
     if whole.any():
-        xs, gs = x[whole], gid[whole]
-        out[whole] = _climb(nu[whole], xs, _hankel(0.0, xs, gs), _hankel(1.0, xs, gs), 1.0)
+        xs = x[whole]
+        out[whole] = _climb(nu[whole], xs, _hankel(0.0, xs), _hankel(1.0, xs), 1.0)
     half = ~whole
     if half.any():
         xs = x[half]
@@ -226,7 +164,8 @@ def _upward(nu, x: np.ndarray, gid=None) -> np.ndarray:
 
 
 def _miller(nu: float, x: np.ndarray) -> np.ndarray:
-    """Downward recurrence for x < nu; 60 guard orders give full accuracy."""
+    """Downward recurrence for x < nu; 60 guard orders give full accuracy.
+    Each point is rescaled on its own."""
     half = not float(nu).is_integer()
     n_int = int(nu - 0.5) if half else int(nu)
     top = n_int + 64
@@ -245,15 +184,15 @@ def _miller(nu: float, x: np.ndarray) -> np.ndarray:
             neumann += j
         if half and new_order == 1.5:
             low1 = j
-        mx = np.max(np.abs(j))
-        if mx > 1e250:
-            jp *= 1e-250
-            j *= 1e-250
-            neumann *= 1e-250
+        big = np.abs(j) > 1e250
+        if big.any():
+            jp[big] *= 1e-250
+            j[big] *= 1e-250
+            neumann[big] *= 1e-250
             if target is not None:
-                target *= 1e-250
+                target[big] *= 1e-250
             if low1 is not None:
-                low1 *= 1e-250
+                low1[big] *= 1e-250
     if half:
         low0 = j
         e0, e1 = _half_base(x)
@@ -265,22 +204,15 @@ def _miller(nu: float, x: np.ndarray) -> np.ndarray:
     return target * scale
 
 
-def _j_groups(orders, x: np.ndarray, sizes) -> np.ndarray:
-    """J at a batch of points x >= 0 split into consecutive groups: group g
-    holds the next sizes[g] points, of order orders[g] (checked orders, no
-    empty group). Each group's values are bitwise those of bessel_j on its
-    points alone."""
-    if len(orders) == 1:
-        gid, nu = None, orders[0]
-    else:
-        gid = np.repeat(np.arange(len(orders)), sizes)
-        nu = np.asarray(orders, dtype=float)[gid]
+def _j(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J at points x >= 0, where nu holds one checked order per point. A
+    point's value does not depend on the other points of the batch."""
     out = np.empty_like(x)
     zero = x == 0.0
-    out[zero] = _pick(nu, zero) == 0  # J_0(0) = 1, J_nu(0) = 0 otherwise
+    out[zero] = nu[zero] == 0  # J_0(0) = 1, J_nu(0) = 0 otherwise
     pos = ~zero
     if pos.any():
-        xp, nup, gp = x[pos], _pick(nu, pos), _pick(gid, pos)
+        xp, nup = x[pos], nu[pos]
         res = np.empty_like(xp)
         # per-point series-safety estimate of the largest series term
         h = 0.5 * xp
@@ -291,23 +223,13 @@ def _j_groups(orders, x: np.ndarray, sizes) -> np.ndarray:
         m_up = ~m_series & (xp >= nup)
         m_down = ~m_series & ~m_up
         if m_series.any():
-            gs = _pick(gp, m_series)
-            if gs is None:
-                lg = math.lgamma(nu + 1.0)
-            else:
-                lg = np.array([math.lgamma(o + 1.0) for o in orders])[gs]
-            res[m_series] = _series(_pick(nup, m_series), lg, xp[m_series], gs)
+            res[m_series] = _series(nup[m_series], xp[m_series])
         if m_up.any():
-            res[m_up] = _upward(_pick(nup, m_up), xp[m_up], _pick(gp, m_up))
+            res[m_up] = _upward(nup[m_up], xp[m_up])
         if m_down.any():
-            xd, gd = xp[m_down], _pick(gp, m_down)
-            if gd is None:
-                res[m_down] = _miller(nu, xd)
-            else:
-                vals = np.empty_like(xd)
-                for a, n in zip(*_groups(gd)):
-                    vals[a:a + n] = _miller(orders[gd[a]], xd[a:a + n])
-                res[m_down] = vals
+            for o in np.unique(nup[m_down]):  # Miller runs once per order
+                at = m_down & (nup == o)
+                res[at] = _miller(o, xp[at])
         out[pos] = res
     return out
 
@@ -325,50 +247,49 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
     arr = np.atleast_1d(arr)
     if np.any(arr < 0):
         raise ConfigError("Bessel argument must be nonnegative")
-    out = _j_groups([nu], arr, None)
+    out = _j(np.full(arr.shape, nu), arr)
     return float(out[0]) if scalar else out
 
 
-def _derivative(orders, sizes, z: np.ndarray, jz: np.ndarray) -> np.ndarray:
-    """J'_nu = J_{nu-1} - nu/z J_nu per group, with J_{nu-1} from its own
-    grouped pass; J'_0 = -J_1 and J_{-1/2} is taken in closed form."""
-    nu = np.repeat(orders, sizes)
+def _derivative(nu: np.ndarray, z: np.ndarray, jz: np.ndarray) -> np.ndarray:
+    """J'_nu = J_{nu-1} - nu/z J_nu per point; J'_0 = -J_1 and J_{-1/2} is
+    taken in closed form."""
     jm1 = np.empty_like(z)
     half = nu == 0.5
     if half.any():
         zh = z[half]
         jm1[half] = np.sqrt(2.0 / (math.pi * zh)) * np.cos(zh)
-    rest = orders != 0.5
+    rest = ~half
     if rest.any():
-        down = [1.0 if o == 0 else o - 1.0 for o in orders[rest]]
-        jm1[~half] = _j_groups(down, z[~half], sizes[rest])
+        nr = nu[rest]
+        jm1[rest] = _j(np.where(nr == 0, 1.0, nr - 1.0), z[rest])
     fp = jm1 - nu / z * jz
     zero = nu == 0
     fp[zero] = -jm1[zero]
     return fp
 
 
-def _refine(orders, sizes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisection, then safeguarded Newton, on every bracket at once; bracket
-    group g holds the next sizes[g] brackets, of order orders[g]."""
+def _refine(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bisection, then safeguarded Newton, on every bracket at once; nu
+    holds each bracket's order."""
     lo = lo.copy()
     hi = hi.copy()
-    flo = _j_groups(orders, lo, sizes)
+    flo = _j(nu, lo)
     bad = flo == 0.0
     if np.any(bad):
         lo[bad] -= 1e-9
-        flo = _j_groups(orders, lo, sizes)
+        flo = _j(nu, lo)
     for _ in range(10):
         mid = 0.5 * (lo + hi)
-        fm = _j_groups(orders, mid, sizes)
+        fm = _j(nu, mid)
         same = np.sign(fm) == np.sign(flo)
         lo = np.where(same, mid, lo)
         flo = np.where(same, fm, flo)
         hi = np.where(same, hi, mid)
     z = 0.5 * (lo + hi)
     for _ in range(4):
-        f = _j_groups(orders, z, sizes)
-        fp = _derivative(orders, sizes, z, f)
+        f = _j(nu, z)
+        fp = _derivative(nu, z, f)
         step = np.where(fp != 0.0, f / np.where(fp != 0.0, fp, 1.0), 0.0)
         z = np.clip(z - step, lo, hi)
     return z
@@ -392,21 +313,19 @@ def _zeros_pass(orders, x_max: float) -> list[np.ndarray]:
     zeros = [np.empty(0) for _ in orders]
     live = [i for i, nu in enumerate(orders) if x_max > nu]
     if live:
-        nus = [orders[i] for i in live]
-        grids = [np.arange(max(nu, 1e-3), x_max + 2.0 * SCAN_STEP, SCAN_STEP) for nu in nus]
+        grids = [np.arange(max(orders[i], 1e-3), x_max + 2.0 * SCAN_STEP, SCAN_STEP)
+                 for i in live]
         ends = np.cumsum([g.size for g in grids])
         grid = np.concatenate(grids)
-        vals = _j_groups(nus, grid, np.diff(ends, prepend=0))
+        nu = np.repeat([orders[i] for i in live], np.diff(ends, prepend=0))
+        vals = _j(nu, grid)
         s = np.sign(vals)
         flip = (s[:-1] * s[1:] < 0) | (vals[:-1] == 0) | (vals[1:] == 0)
         flip[ends[:-1] - 1] = False  # the pairs that straddle two orders
         idx = np.flatnonzero(flip)
-        sizes = np.bincount(np.searchsorted(ends, idx, "right"), minlength=len(live))
-        has = sizes > 0
-        zs = np.empty(0)
-        if has.any():
-            zs = _refine(np.array(nus)[has], sizes[has], grid[idx], grid[idx + 1])
-        for i, z in zip(live, np.split(zs, np.cumsum(sizes)[:-1])):
+        zs = _refine(nu[idx], grid[idx], grid[idx + 1])
+        counts = np.bincount(np.searchsorted(ends, idx, "right"), minlength=len(live))
+        for i, z in zip(live, np.split(zs, np.cumsum(counts)[:-1])):
             z = np.unique(z)
             zeros[i] = z[z < x_max]
     return zeros
@@ -450,7 +369,7 @@ def bessel_zeros(nu: float, count: int) -> np.ndarray:
     nu = _check_order(nu)
     if count < 1:
         raise ConfigError(f"zero count must be >= 1, got {count}")
-    # McMahon-style spacing estimate sizes the window; bracketing does the rest
+    # McMahon-style spacing estimate sets the window; bracketing does the rest
     upper = nu + 2.0 * nu ** (1.0 / 3.0) + math.pi * (count + 2) + 10.0
     for _ in range(8):
         zs = zeros_below(nu, upper)

@@ -245,8 +245,13 @@ class Polygon:
     def contains(self, u) -> np.ndarray:
         """Even-odd membership test; points on an edge count as outside."""
         pts, single = _as_batch(u)
+        result = self._inside(pts, self.distance_to_boundary(pts))
+        return result[0] if single else result
+
+    def _inside(self, pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        """`contains` for a batch whose boundary distances are `dist`."""
         scale = 1.0 + np.abs(self.vertices).max()
-        on = self.distance_to_boundary(pts) <= 1e-12 * scale
+        on = dist <= 1e-12 * scale
         x, y = pts[:, 0], pts[:, 1]
         inside = np.zeros(len(pts), dtype=bool)
         a = self.vertices
@@ -256,8 +261,7 @@ class Polygon:
             with np.errstate(divide="ignore", invalid="ignore"):
                 xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
             inside ^= crosses & (x < np.where(crosses, xi, np.inf))
-        result = inside & ~on
-        return result[0] if single else result
+        return inside & ~on
 
     def distance_to_boundary(self, u) -> np.ndarray:
         pts, single = _as_batch(u)
@@ -275,7 +279,8 @@ class Polygon:
 
     def distance_to_complement(self, u) -> np.ndarray:
         pts, single = _as_batch(u)
-        dist = np.where(self.contains(pts), self.distance_to_boundary(pts), 0.0)
+        dist = self.distance_to_boundary(pts)
+        dist = np.where(self._inside(pts, dist), dist, 0.0)
         return dist[0] if single else dist
 
 

@@ -8,8 +8,9 @@ dimension of the degree-l spherical harmonics,
 C(l+d-1, d-1) - C(l+d-3, d-1) (the second term is 0 when l+d < 3),
 that is 1, 2, 2, ... for the disk and 2l+1 for the ball. The zeros of
 all orders come from batched passes over runs of consecutive orders
-(`bessel.zeros_below_orders`), in which each order's scan, bisection and
-Newton steps stop on their own.
+(`bessel.zeros_below_orders`). The Bessel evaluator stops each point on
+its own terms, so a value never depends on the rest of its batch and no
+zero depends on the other orders of its pass.
 Eigenvalues are stored as a flat sorted float array with multiplicity.
 """
 

@@ -141,6 +141,30 @@ def test_polygon_distance():
     assert L.distance_to_complement(np.array([0.75, 0.75])) == 0.0
 
 
+def test_polygon_distance_to_complement_one_edge_pass(monkeypatch):
+    """Bitwise np.where(contains, distance_to_boundary, 0) on random,
+    on-edge and vertex points, from one distance_to_boundary per call."""
+    rng = np.random.default_rng(5)
+    L = lshape_polygon(1.0)
+    a = L.vertices
+    b = np.roll(a, -1, axis=0)
+    t = rng.uniform(0.0, 1.0, (4, len(a), 1))
+    pts = np.concatenate([rng.uniform(-0.2, 1.2, (300, 2)), a, (a + t * (b - a)).reshape(-1, 2)])
+    want = np.where(L.contains(pts), L.distance_to_boundary(pts), 0.0)
+    calls = []
+    dist = Polygon.distance_to_boundary
+
+    def spy(self, u):
+        calls.append(u)
+        return dist(self, u)
+
+    monkeypatch.setattr(Polygon, "distance_to_boundary", spy)
+    assert L.distance_to_complement(pts).tobytes() == want.tobytes()
+    assert len(calls) == 1
+    assert L.distance_to_complement(pts[0]) == want[0]
+    assert len(calls) == 2
+
+
 def test_polygon_json_roundtrip(tmp_path):
     p = tmp_path / "poly.json"
     p.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,1]]}')
