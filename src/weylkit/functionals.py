@@ -32,38 +32,81 @@ from .spectra import Spectrum
 
 SKIP_LARGEST = 3  # pre-asymptotic largest h left out of the remainder fit
 RESIDUAL_FLOOR = 1e-9  # |residual2| below this multiple of weyl1 is roundoff
+SUM_BLOCK = 2**15  # terms per exact block sum; a block and its scratch stay in cache
+# 2^M >= SUM_BLOCK + 2: no partial sum of one extracted level can round
+_LEVEL_SCALE = 2.0**16
 
 
-def _check_threshold(spectrum: Spectrum, h: float) -> float:
+def _check_h(h: float) -> None:
+    if not math.isfinite(h):
+        raise ConfigError(f"h must be finite, got {h}")
     if h <= 0:
         raise ConfigError(f"h must be positive, got {h}")
+
+
+def _below(spectrum: Spectrum, h: float) -> np.ndarray:
+    """The eigenvalues strictly below h^-2, after the completeness check."""
+    _check_h(h)
     thr = 1.0 / (h * h)
     if thr > spectrum.cutoff * (1.0 + 1e-12):
         raise CompletenessError(
             f"h={h} needs eigenvalues up to {thr:.6g}, but the spectrum is only "
             f"complete below {spectrum.cutoff:.6g}"
         )
-    return thr
+    return spectrum.eigenvalues[: np.searchsorted(spectrum.eigenvalues, thr, side="left")]
+
+
+def exact_sum(blocks) -> float:
+    """Correctly rounded sum of every term of `blocks`, bitwise `math.fsum`'s.
+
+    `blocks` is an iterable of float64 arrays whose terms are finite and
+    below 2^1000 in magnitude; the arrays are overwritten. Each run of
+    SUM_BLOCK terms p is summed exactly by error-free extraction
+    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008, ExtractVector):
+    with sigma = 2^M * 2^e >= 2^M max|p|, q = (sigma + p) - sigma is a
+    multiple of 2^-53 sigma with |q| <= 2^-M sigma, p - q is exact, and
+    every partial sum of q is a multiple of 2^-53 sigma no larger than
+    sigma, so np.sum(q) is exact in any order. Extraction repeats on the
+    remainder p - q until it is zero, and `math.fsum` rounds the exact
+    level sums once, as it rounds the terms.
+    """
+    levels = []
+    scratch = np.empty(SUM_BLOCK)
+    for block in blocks:
+        for start in range(0, block.size, SUM_BLOCK):
+            p = block[start:start + SUM_BLOCK]
+            q = scratch[:p.size]
+            while (top := max(p.max(), -p.min())) > 0:
+                sigma = math.ldexp(_LEVEL_SCALE, math.frexp(top)[1])
+                np.add(p, sigma, out=q)
+                q -= sigma
+                p -= q
+                levels.append(float(q.sum()))
+    return math.fsum(levels)
+
+
+def _riesz(lam: np.ndarray, h: float) -> float:
+    hh = h * h
+    return exact_sum(1.0 - hh * lam[i:i + SUM_BLOCK] for i in range(0, lam.size, SUM_BLOCK))
 
 
 def counting_function(spectrum: Spectrum, h: float) -> int:
     """Exact count of eigenvalues strictly below h^-2."""
-    thr = _check_threshold(spectrum, h)
-    return int(np.searchsorted(spectrum.eigenvalues, thr, side="left"))
+    return len(_below(spectrum, h))
 
 
 def riesz_mean(spectrum: Spectrum, h: float) -> float:
-    """Sum of (1 - h^2 lambda) over lambda < h^-2, compensated summation."""
-    thr = _check_threshold(spectrum, h)
-    n = np.searchsorted(spectrum.eigenvalues, thr, side="left")
-    lam = spectrum.eigenvalues[:n]
-    return math.fsum(1.0 - h * h * lam)
+    """Sum of (1 - h^2 lambda) over lambda < h^-2, correctly rounded.
+
+    The terms are built in blocks of SUM_BLOCK and summed exactly
+    (`exact_sum`), so the value is bitwise `math.fsum` of all of them.
+    """
+    return _riesz(_below(spectrum, h), h)
 
 
 def weyl_prediction(domain, h: float, terms: int = 2) -> float:
     """One- or two-term semiclassical prediction for the Riesz mean."""
-    if h <= 0:
-        raise ConfigError(f"h must be positive, got {h}")
+    _check_h(h)
     if terms not in (1, 2):
         raise ConfigError(f"terms must be 1 or 2, got {terms}")
     d = domain.dim
@@ -120,8 +163,8 @@ def sweep(domain, spectrum: Spectrum, h_grid) -> SweepResult:
         raise ConfigError("h grid must be sorted strictly descending")
     records = []
     for h in h_grid:
-        n = counting_function(spectrum, h)
-        rz = riesz_mean(spectrum, h)
+        lam = _below(spectrum, h)
+        n, rz = len(lam), _riesz(lam, h)
         w1 = weyl_prediction(domain, h, terms=1)
         w2 = weyl_prediction(domain, h, terms=2)
         records.append(SweepRecord(h, n, rz, w1, w2, rz - w1, rz - w2))
@@ -193,10 +236,8 @@ def riesz_from_counting(spectrum: Spectrum, h: float) -> float:
     function mu -> #{lambda < mu} over (0, h^-2) is evaluated exactly on
     the sorted partition.
     """
-    thr = _check_threshold(spectrum, h)
-    n = np.searchsorted(spectrum.eigenvalues, thr, side="left")
-    lam = spectrum.eigenvalues[:n]
-    breaks = np.concatenate([[0.0], lam, [thr]])
+    lam = _below(spectrum, h)
+    breaks = np.concatenate([[0.0], lam, [1.0 / (h * h)]])
     counts = np.arange(len(breaks) - 1)  # value of the step function per cell
     return h * h * math.fsum(counts * np.diff(breaks))
 

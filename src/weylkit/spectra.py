@@ -35,7 +35,12 @@ DEFAULT_BUDGET = 10**8  # max stored eigenvalues; read at call time
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted Dirichlet eigenvalues (with multiplicity) below `cutoff`."""
+    """Sorted Dirichlet eigenvalues (with multiplicity) below `cutoff`.
+
+    The eigenvalues must be finite, nonnegative and nondecreasing: every
+    query bisects them, and the Riesz terms 1 - h^2 lambda are then
+    finite and in [0, 1].
+    """
 
     eigenvalues: np.ndarray
     cutoff: float
@@ -43,6 +48,12 @@ class Spectrum:
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
+        if not np.isfinite(ev).all():
+            raise ConfigError("spectrum has a non-finite eigenvalue")
+        if (ev[1:] < ev[:-1]).any():
+            raise ConfigError("spectrum eigenvalues must be in ascending order")
+        if ev.size and ev[0] < 0:
+            raise ConfigError(f"spectrum has a negative eigenvalue {float(ev[0])!r}")
         object.__setattr__(self, "eigenvalues", ev)
 
     def __len__(self) -> int:
@@ -82,19 +93,17 @@ def box_spectrum(sides, cutoff: float) -> Spectrum:
         m = np.arange(1, m_max + 1)
         cand = (partial[:, None] + (m[None, :] / a) ** 2).ravel()
         partial = cand[cand < q]
+    # the last side's m = 1..floor(a sqrt(q - s)) for every partial sum s,
+    # laid out row after row
     a_last = box.sides[-1]
-    out = []
-    for s in partial:
-        m_max = int(math.floor(a_last * math.sqrt(q - s)))
-        if m_max >= 1:
-            m = np.arange(1, m_max + 1)
-            vals = s + (m / a_last) ** 2
-            out.append(vals[vals < q])
-    if out:
-        ev = np.sort(np.concatenate(out)) * math.pi**2
-        ev = ev[ev < cutoff]  # guard against roundoff at the edge
-    else:
-        ev = np.empty(0)
+    m_max = np.floor(a_last * np.sqrt(q - partial)).astype(np.int64)
+    row_end = np.cumsum(m_max)
+    m = np.arange(1, m_max.sum() + 1) - np.repeat(row_end - m_max, m_max)
+    vals = np.repeat(partial, m_max) + (m / a_last) ** 2
+    ev = vals[vals < q]
+    ev.sort()
+    ev *= math.pi**2
+    ev = ev[ev < cutoff]  # guard against roundoff at the edge
     if ev.size > DEFAULT_BUDGET:
         raise ResourceError(
             f"box spectrum has {ev.size} eigenvalues, over budget {DEFAULT_BUDGET}")

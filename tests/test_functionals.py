@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit.constants import constants
-from weylkit.domains import Disk, square
+from weylkit.domains import Box, Disk, square
 from weylkit.errors import CompletenessError, ConfigError, FitError, InvariantViolation
 from weylkit.functionals import (
+    SUM_BLOCK,
     FitReport,
     SweepRecord,
     SweepResult,
     berezin_check,
     counting_function,
+    exact_sum,
     fit_second_term,
     fit_to_json,
     riesz_from_counting,
@@ -21,7 +25,7 @@ from weylkit.functionals import (
     sweep_to_csv,
     weyl_prediction,
 )
-from weylkit.spectra import Spectrum, box_spectrum, disk_spectrum
+from weylkit.spectra import Spectrum, box_spectrum, disk_spectrum, spectrum_for
 
 H50 = 1.0 / math.sqrt(50.0)
 
@@ -81,6 +85,18 @@ def test_completeness_error(square_50):
         riesz_mean(square_50, 1.0 / math.sqrt(51.0))
     with pytest.raises(ConfigError):
         counting_function(square_50, -1.0)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_non_finite_h_rejected(square_50, h):
+    # nan <= 0 is False: h = nan used to count all 3 eigenvalues
+    for query in (counting_function, riesz_mean, riesz_from_counting):
+        with pytest.raises(ConfigError, match="finite"):
+            query(square_50, h)
+    with pytest.raises(ConfigError, match="finite"):
+        weyl_prediction(square(1.0), h)
+    with pytest.raises(ConfigError, match="finite"):
+        sweep(square(1.0), square_50, [h])
 
 
 def test_weyl_prediction_square():
@@ -254,3 +270,75 @@ def test_csv_and_json_outputs(tmp_path, square_50):
         "residual_norm",
     }
     assert data["h_range"] == [0.01, 0.1]
+
+
+def _terms(kind: str, n: int, seed: int) -> np.ndarray:
+    """n float64 terms of one kind, from a seeded generator."""
+    rng = np.random.default_rng(seed)
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "riesz":  # 1 - h^2 lambda over sorted lambda < h^-2
+        lam = np.sort(rng.uniform(0.0, 1.0, n)) * 2.5e4
+        h = 1.0 / math.sqrt(2.5e4)
+        return 1.0 - h * h * lam
+    if kind == "ladder":  # every binade from 2^-53 to 1
+        return rng.uniform(1.0, 2.0, n) * 2.0 ** -rng.integers(1, 54, n)
+    if kind == "ties":  # ones, then a last term of half an ulp (or 3 halves) of the rest
+        p = np.ones(n)
+        if n:
+            p[-1] = math.ulp(float(n - 1)) / 2 * rng.choice([1.0, 3.0])
+        return p
+    # heavy cancellation: +x and -x over 40 binades, shuffled, around a few tiny terms
+    x = rng.uniform(0.0, 1.0, n // 2) * 2.0 ** -rng.integers(0, 40, n // 2)
+    rest = rng.uniform(-1.0, 1.0, n - 2 * (n // 2)) * 2.0**-70
+    return rng.permutation(np.concatenate([x, -x, rest]))
+
+
+KINDS = ["zeros", "riesz", "ladder", "ties", "cancel"]
+
+
+def _check_exact_sum(kind, n, seed):
+    terms = _terms(kind, n, seed)
+    assert exact_sum([terms.copy()]).hex() == math.fsum(terms).hex()
+    # split at other places than the block boundaries
+    cut = n // 3
+    assert exact_sum([terms[:cut].copy(), terms[cut:].copy()]).hex() == math.fsum(terms).hex()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(0, 3 * SUM_BLOCK),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_sum_is_fsum(kind, n, seed):
+    """The blocked exact sum is bitwise `math.fsum`, the reference."""
+    _check_exact_sum(kind, n, seed)
+
+
+@pytest.mark.parametrize("n", [0, SUM_BLOCK - 1, SUM_BLOCK, 2 * SUM_BLOCK + 1])
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_sum_is_fsum_at_block_edges(kind, n):
+    _check_exact_sum(kind, n, 7)
+
+
+@pytest.mark.parametrize("terms, total", [
+    ([1.0, 2.0**-53], 1.0),  # a tie rounds to the even neighbour
+    ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),
+    ([1.0, 2.0**-53, 2.0**-80], 1.0 + 2.0**-52),  # just above the tie
+    ([1.0, 2.0**-60, -1.0], 2.0**-60),
+])
+def test_exact_sum_rounds_once(terms, total):
+    assert exact_sum([np.array(terms)]).hex() == total.hex()
+
+
+@pytest.mark.parametrize("domain, cutoff", [
+    (Box((1.0, 1.2, 0.9)), 2.9e4),  # about 1e5 eigenvalues
+    (Disk(1.0), 4.0e3),
+])
+def test_sweep_riesz_is_fsum(domain, cutoff):
+    """Every record's Riesz mean and count are those of the one-pass fsum."""
+    spec = spectrum_for(domain, cutoff)
+    hs = np.geomspace(0.3, 1.0 / math.sqrt(cutoff / 1.01), 50)
+    for r in sweep(domain, spec, hs).records:
+        lam = spec.eigenvalues[spec.eigenvalues < 1.0 / (r.h * r.h)]
+        assert r.n_below == len(lam)
+        assert r.riesz.hex() == math.fsum(1.0 - r.h * r.h * lam).hex()
+        assert riesz_mean(spec, r.h) == r.riesz

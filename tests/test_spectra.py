@@ -6,8 +6,9 @@ from scipy.special import jn_zeros
 
 import weylkit.spectra
 from weylkit.constants import constants
-from weylkit.errors import CompletenessError, ResourceError
+from weylkit.errors import CompletenessError, ConfigError, ResourceError
 from weylkit.spectra import (
+    Spectrum,
     _multiplicity,
     ball_spectrum,
     box_spectrum,
@@ -31,6 +32,58 @@ def brute_box_eigenvalues(sides, cutoff):
             m2 += 1
         m1 += 1
     return np.sort(np.array(out))
+
+
+def _ref_box_eigenvalues(sides, cutoff):
+    """The row-at-a-time lattice enumeration that box_spectrum replaced."""
+    q = cutoff / math.pi**2
+    partial = np.array([0.0])
+    for a in sides[:-1]:
+        m = np.arange(1, int(math.floor(a * math.sqrt(q))) + 2)
+        cand = (partial[:, None] + (m[None, :] / a) ** 2).ravel()
+        partial = cand[cand < q]
+    a_last = sides[-1]
+    out = []
+    for s in partial:
+        m_max = int(math.floor(a_last * math.sqrt(q - s)))
+        if m_max >= 1:
+            vals = s + (np.arange(1, m_max + 1) / a_last) ** 2
+            out.append(vals[vals < q])
+    if not out:
+        return np.empty(0)
+    ev = np.sort(np.concatenate(out)) * math.pi**2
+    return ev[ev < cutoff]
+
+
+@pytest.mark.parametrize("sides, cutoff", [
+    ((1.0, 1.0), 3000.0),
+    ((0.7, 1.6), 2.0e4),
+    ((1.3, 0.6), 19.0),  # empty
+    ((1.0, 1.3, 0.8), 6.0e4),
+    ((0.45, 2.2, 1.1), 1.5e4),
+    ((0.9, 1.1, 0.7, 1.3), 2500.0),
+    ((1.7, 0.8, 1.2, 0.6), 900.0),
+])
+def test_box_matches_row_loop(sides, cutoff):
+    got = box_spectrum(sides, cutoff).eigenvalues
+    assert got.tobytes() == _ref_box_eigenvalues(sides, cutoff).tobytes()
+
+
+@pytest.mark.parametrize("values, what", [
+    ([9.0, math.nan, 4.0], "non-finite"),
+    ([4.0, math.inf], "non-finite"),
+    ([9.0, 4.0], "ascending"),
+    ([-1.0, 4.0], "negative"),
+])
+def test_spectrum_rejects_bad_eigenvalues(tmp_path, values, what):
+    with pytest.raises(ConfigError, match=what):
+        Spectrum(np.array(values), 100.0, "exact-box")
+    # the same values hand-edited into a saved spectrum
+    path = tmp_path / "spec.csv"
+    save_spectrum(Spectrum(np.array([4.0, 9.0]), 100.0, "exact-box"), path)
+    path.write_text("lambda\n" + "".join(f"{v!r}\n" for v in values))
+    with pytest.raises(ConfigError, match=what):
+        load_spectrum(path)
 
 
 def test_unit_square_cutoff_50():
