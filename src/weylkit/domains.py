@@ -84,7 +84,7 @@ class Box:
         u, single = _as_batch(u)
         a = np.asarray(self.sides)
         gaps = np.stack([u, a - u], axis=2)  # (n, d, 2)
-        flat = gaps.reshape(len(u), -1)
+        flat = gaps.reshape(len(u), 2 * a.size)
         order = np.sort(flat, axis=1)
         tie = (order[:, 1] - order[:, 0]) <= 1e-12 * (1.0 + a.max())
         k = np.argmin(flat, axis=1)

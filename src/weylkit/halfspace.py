@@ -25,7 +25,6 @@ convergence acceleration.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -68,47 +67,57 @@ def _cosine_bessel(d: int, t) -> np.ndarray:
     return _norms(d)[1] * bessel_j(nu, 2.0 * t) / t**nu
 
 
-def cosine_integral(d: int, t: float) -> float:
+def cosine_integral(d: int, t):
     """int cos(2 xi_d t)(|xi|^2 - 1)_- dxi over R^d, dual-evaluated.
 
-    Computes the reduced 1-D integral by adaptive quadrature and the
-    Bessel closed form; raises NumericsError if they differ by more than
-    DUAL_EVAL_TOL, otherwise returns the Bessel-form value.
+    `t` is a scalar (returns a float) or an array (returns an array of its
+    shape). The Bessel closed form runs once over all t; the reduced 1-D
+    integral still runs by adaptive quadrature for every t. Raises
+    NumericsError at the first t, in input order, where the two routes
+    differ by more than DUAL_EVAL_TOL, otherwise returns the Bessel-form
+    values.
     """
     d = _check_dim(d)
-    t = float(t)
-    if t <= 0:
-        raise ConfigError(f"t must be positive, got {t}")
+    ts = np.asarray(t, dtype=float)
+    if (ts <= 0).any():
+        raise ConfigError(f"t must be positive, got {float(ts[ts <= 0][0])}")
+    flat = ts.ravel()
     c_quad, _ = _norms(d)
     expo = (d + 1) / 2.0
-    val, _err = quad(
-        lambda s: math.cos(2.0 * s * t) * (1.0 - s * s) ** expo,
-        0.0,
-        1.0,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=max(100, int(t)),
-    )
-    via_quad = c_quad * val
-    via_bessel = float(_cosine_bessel(d, t))
-    if abs(via_quad - via_bessel) > DUAL_EVAL_TOL:
-        raise NumericsError(
-            f"cosine integral routes disagree at d={d}, t={t}: "
-            f"quadrature {via_quad!r} vs Bessel {via_bessel!r}",
-            achieved=abs(via_quad - via_bessel),
+    via_bessel = _cosine_bessel(d, flat)
+    for ti, vb in zip(flat.tolist(), via_bessel.tolist()):
+        val, _err = quad(
+            lambda s: math.cos(2.0 * s * ti) * (1.0 - s * s) ** expo,
+            0.0,
+            1.0,
+            epsabs=1e-12,
+            epsrel=1e-12,
+            limit=max(100, int(ti)),
         )
-    return via_bessel
+        via_quad = c_quad * val
+        if abs(via_quad - vb) > DUAL_EVAL_TOL:
+            raise NumericsError(
+                f"cosine integral routes disagree at d={d}, t={ti}: "
+                f"quadrature {via_quad!r} vs Bessel {vb!r}",
+                achieved=abs(via_quad - vb),
+            )
+    return float(via_bessel[0]) if ts.ndim == 0 else via_bessel.reshape(ts.shape)
 
 
-def density_profile(d: int, t: float) -> float:
-    """rho(t): 0 at the wall, tending to the bulk value L_d as t grows."""
+def density_profile(d: int, t):
+    """rho(t): 0 at the wall, tending to the bulk value L_d as t grows.
+
+    `t` is a scalar (returns a float) or an array (returns an array of its
+    shape); the t > 0 go through one dual-evaluated `cosine_integral` call.
+    """
     d = _check_dim(d)
-    t = float(t)
-    if t < 0:
-        raise ConfigError(f"t must be nonnegative, got {t}")
-    if t == 0.0:
-        return 0.0  # the 2 sin^2 weight vanishes identically at the wall
-    return constants(d).L_d - cosine_integral(d, t) / TWO_PI**d
+    ts = np.asarray(t, dtype=float)
+    if (ts < 0).any():
+        raise ConfigError(f"t must be nonnegative, got {float(ts[ts < 0][0])}")
+    rho = np.zeros(ts.shape)  # the 2 sin^2 weight vanishes identically at the wall
+    off_wall = ts != 0.0
+    rho[off_wall] = constants(d).L_d - cosine_integral(d, ts[off_wall]) / TWO_PI**d
+    return float(rho) if ts.ndim == 0 else rho
 
 
 @dataclass(frozen=True)
@@ -214,6 +223,8 @@ def tail_bound_check(d: int, t_max: float = 400.0) -> float:
     sequence of increments raises InvariantViolation.
     """
     d = _check_dim(d)
+    if t_max <= 0:
+        raise ConfigError(f"t_max must be positive, got {t_max}")
     bounds = _segment_bounds(d, t_max)
     segs = np.abs(_segment_integrals(d, bounds, weight_t=True))
     cum = np.cumsum(segs)
@@ -236,12 +247,15 @@ def tail_bound_check(d: int, t_max: float = 400.0) -> float:
 
 
 def profile_to_csv(d: int, t_values, path) -> None:
-    """Density profile as CSV rows t,rho,bulk."""
+    """Density profile as CSV rows t,rho,bulk.
+
+    Every row is computed before `path` is opened, so a failed profile
+    writes no file.
+    """
     d = _check_dim(d)
-    bulk = constants(d).L_d
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "rho", "bulk"])
-        for t in t_values:
-            w.writerow([repr(float(t)), repr(density_profile(d, float(t))), repr(bulk)])
+    bulk = repr(constants(d).L_d)
+    ts = np.array([float(t) for t in t_values])
+    rho = density_profile(d, ts)
+    rows = "".join(f"{t!r},{r!r},{bulk}\r\n" for t, r in zip(ts.tolist(), rho.tolist()))
+    with Path(path).open("w", newline="") as fh:
+        fh.write("t,rho,bulk\r\n" + rows)

@@ -27,7 +27,6 @@ which `normalization_check` verifies by adaptive quadrature over u.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -506,14 +505,25 @@ def surface_defect_slope(c: float, alpha: float, radii, dim: int = 2) -> float:
 # diagnostics
 
 
+def _reprs(column: np.ndarray) -> np.ndarray:
+    """repr of each value of a float column, computed once per distinct bit
+    pattern (grid axes repeat; -0.0 and 0.0 stay apart)."""
+    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    return np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[inverse]
+
+
 def dump_diagnostics(sf: ScaleFunction, points, path) -> None:
-    """CSV of (u, l(u), flag); flag=1 where grad l fell back to differences."""
+    """CSV of (u, l(u), flag); flag=1 where grad l fell back to differences.
+
+    Built column by column and written in one piece, each line ending in
+    CRLF as csv.writer ends it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     l, _, flags = sf._scale_and_grad(pts)
-    path = Path(path)
     d = pts.shape[1]
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"u{i + 1}" for i in range(d)] + ["l", "flag"])
-        for row, li, fi in zip(pts, l, flags):
-            w.writerow([repr(float(v)) for v in row] + [repr(float(li)), int(fi)])
+    cols = [_reprs(pts[:, i]) for i in range(d)]
+    cols.append([repr(v) for v in l.tolist()])
+    cols.append([str(int(f)) for f in flags.tolist()])
+    lines = [",".join([f"u{i + 1}" for i in range(d)] + ["l", "flag"])]
+    lines += map(",".join, zip(*cols))
+    with Path(path).open("w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weylkit import halfspace
 from weylkit.cli import main, parse_domain, parse_h_grid
 from weylkit.domains import Box, Disk
 from weylkit.errors import ConfigError
@@ -82,6 +88,13 @@ def test_localize_command(tmp_path):
     assert len(lines) == 145
 
 
+def test_localize_empty_grid(tmp_path):
+    for domain in ("disk:1", "square:1", "box:1,0.5,0.7"):
+        out = tmp_path / "diag.csv"
+        assert main(["localize", "--domain", domain, "--l0", "0.1", "--grid", "0", "--out", str(out)]) == 0
+        assert out.read_bytes().count(b"\r\n") == 1  # the header only
+
+
 def test_fd_command(tmp_path):
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
@@ -114,6 +127,8 @@ def test_config_error_exit_code(tmp_path, capsys):
         ["halfspace", "--check", "profile", "--count", "-1"],
         ["halfspace", "--T", "nan"],
         ["halfspace", "--tol", "inf"],
+        ["halfspace", "--check", "tail", "--T", "0"],
+        ["halfspace", "--check", "tail", "--T", "-3"],
         ["localize", "--domain", "disk:1", "--l0", "0.1", "--grid", "-3", *out],
         ["localize", "--domain", "disk:1", "--l0", "0.1", "--check-normalization", "-1", *out],
         ["localize", "--domain", "disk:1", "--l0", "nan", *out],
@@ -129,6 +144,82 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert err["type"] == "ConfigError"
         if argv[-1].startswith(str(missing)):
             assert str(missing) in err["message"]
+
+
+def test_failed_profile_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "profile.csv"
+    argv = ["halfspace", "--check", "profile", "--T", "-5", "--count", "5", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == (
+        '{"error": {"type": "ConfigError", "message": "t must be nonnegative, got -1.25", '
+        '"exit_code": 2}}\n'
+    )
+    assert not out.exists()
+    # a dual-evaluation failure at t = 2.5, made cheap by shifting the Bessel route
+    real = halfspace._cosine_bessel
+    monkeypatch.setattr(halfspace, "_cosine_bessel", lambda d, t: real(d, t) + 1e-6)
+    argv = ["halfspace", "--check", "profile", "--T", "10", "--count", "5", "--out", str(out)]
+    assert main(argv) == 4
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "NumericsError"
+    assert err["message"].startswith("cosine integral routes disagree at d=2, t=2.5: quadrature ")
+    assert not out.exists()
+
+
+def _mostly(valid, invalid):
+    """Draws a valid value four times as often as an invalid one."""
+    return st.sampled_from(valid * 4 + invalid)
+
+
+_HS_ARGS = st.fixed_dictionaries({
+    "--d": _mostly(["2", "3", "5"], ["1", "x"]),
+    "--check": _mostly(["boundary-coefficient", "profile", "tail", "dual"], ["nope"]),
+    "--T": _mostly(["0.5", "4", "12"], ["-3", "0", "1e-3", "nan", "inf"]),
+    "--count": _mostly(["0", "1", "4"], ["-1", "2.5"]),
+    "--tol": _mostly(["1e-4"], ["0", "-1", "inf"]),
+})
+_LOC_ARGS = st.fixed_dictionaries({
+    "--domain": _mostly(["disk:1", "square:0.8", "box:1,0.5", "box:1,0.5,0.7"],
+                        ["disk:-1", "cube:1", "polygon:missing.json"]),
+    "--l0": _mostly(["0.1", "0.5", "1"], ["0", "-1", "2", "nan"]),
+    "--grid": _mostly(["0", "1", "5"], ["-2", "x"]),
+    "--check-normalization": _mostly(["0", "1"], ["-1"]),
+    "--tol": _mostly(["1e-3"], ["0", "nan"]),
+})
+_ALWAYS = ("--domain", "--l0", "--grid", "--T")  # required, or large by default
+
+
+@st.composite
+def _argvs(draw):
+    """halfspace or localize argvs: the other flags left out at random, each
+    value mostly valid, and --out writable, unwritable or absent. Sizes
+    stay small; normalization runs in 2-D only."""
+    command, options = draw(st.sampled_from([("halfspace", _HS_ARGS), ("localize", _LOC_ARGS)]))
+    drawn = draw(options)
+    if drawn.get("--domain", "").count(",") == 2:
+        drawn["--check-normalization"] = "0"
+    argv = [command]
+    for flag, value in drawn.items():
+        if flag in _ALWAYS or draw(st.booleans()):
+            argv += [flag, value]
+    out = draw(_mostly([["--out", "{tmp}/o.csv"]], [["--out", "{tmp}/no/o.csv"], []]))
+    return argv + out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_argvs())
+def test_cli_fuzz_exits_with_json_error(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    if code:
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["exit_code"] == code
 
 
 def test_help_exits_zero(capsys):

@@ -1,10 +1,14 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from weylkit import halfspace
+from weylkit.bessel import bessel_j
 from weylkit.constants import TWO_PI, constants, phase_space_integral
-from weylkit.errors import ConfigError, ConvergenceError
+from weylkit.errors import ConfigError, ConvergenceError, NumericsError
 from weylkit.halfspace import (
     HalfspaceDensity,
     absolute_moment,
@@ -47,6 +51,9 @@ def test_invalid_arguments():
         cosine_integral(2, 0.0)
     with pytest.raises(ConfigError):
         density_profile(2, -1.0)
+    for t_max in (0.0, -3.0):
+        with pytest.raises(ConfigError, match=f"t_max must be positive, got {t_max}"):
+            tail_bound_check(2, t_max)
 
 
 def test_profile_wall_and_bulk():
@@ -139,3 +146,79 @@ def test_profile_csv(tmp_path):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert float(first[1]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# batched profile against the per-point reference
+
+
+def _reference_cosine_integral(d, t):
+    """The per-point dual evaluation that the batched one replaced."""
+    t = float(t)
+    c_quad, c_bessel = halfspace._norms(d)
+    expo = (d + 1) / 2.0
+    val, _err = quad(
+        lambda s: math.cos(2.0 * s * t) * (1.0 - s * s) ** expo,
+        0.0,
+        1.0,
+        epsabs=1e-12,
+        epsrel=1e-12,
+        limit=max(100, int(t)),
+    )
+    via_quad = c_quad * val
+    nu = d / 2.0 + 1.0
+    tt = np.asarray(t, dtype=float)
+    via_bessel = float(c_bessel * bessel_j(nu, 2.0 * tt) / tt**nu)
+    assert abs(via_quad - via_bessel) <= halfspace.DUAL_EVAL_TOL
+    return via_bessel
+
+
+def _reference_profile_to_csv(d, t_values, path):
+    """The csv.writer loop over scalar density_profile calls."""
+    bulk = constants(d).L_d
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "rho", "bulk"])
+        for t in t_values:
+            t = float(t)
+            rho = 0.0 if t == 0.0 else bulk - _reference_cosine_integral(d, t) / TWO_PI**d
+            w.writerow([repr(t), repr(rho), repr(bulk)])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("T", [30.0, 50.0])
+def test_profile_csv_matches_per_point_reference(tmp_path, d, T):
+    ts = np.linspace(0.0, T, 201)
+    profile_to_csv(d, ts, tmp_path / "new.csv")
+    _reference_profile_to_csv(d, ts, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_batched_cosine_integral_is_bitwise_scalar(d):
+    ts = np.concatenate([np.geomspace(1e-6, 300.0, 60), [0.5, 7.25, 0.5]])
+    batch = cosine_integral(d, ts)
+    assert isinstance(cosine_integral(d, 2.0), float)
+    scalars = np.array([cosine_integral(d, float(t)) for t in ts])
+    assert batch.shape == ts.shape
+    assert np.array_equal(batch.view(np.int64), scalars.view(np.int64))
+    grid = cosine_integral(d, ts[:60].reshape(6, 10))
+    assert np.array_equal(grid.ravel().view(np.int64), scalars[:60].view(np.int64))
+    rho = density_profile(d, np.concatenate([[0.0], ts]))
+    assert rho[0] == 0.0
+    assert np.array_equal(rho[1:], [density_profile(d, float(t)) for t in ts])
+
+
+def test_batched_errors_name_the_first_bad_t(monkeypatch):
+    with pytest.raises(ConfigError, match=r"t must be positive, got -2\.0$"):
+        cosine_integral(2, np.array([1.0, -2.0, 0.0]))
+    with pytest.raises(ConfigError, match=r"t must be nonnegative, got -1\.5$"):
+        density_profile(2, np.array([0.0, 1.0, -1.5, -3.0]))
+    real = halfspace._cosine_bessel
+    # shift the Bessel route from t = 2 on, so the first disagreement is there
+    monkeypatch.setattr(
+        halfspace, "_cosine_bessel", lambda d, t: real(d, t) + np.where(t >= 2.0, 1e-6, 0.0)
+    )
+    with pytest.raises(NumericsError, match=r"at d=2, t=3\.0: quadrature "):
+        cosine_integral(2, np.array([1.0, 3.0, 2.0]))
+

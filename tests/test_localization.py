@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from weylkit.localization import (
     ScaleFunction,
     distance_to_complement,
     dump_diagnostics,
+    bounding_box,
     holder_chart,
     jacobian_factor,
     mapped_volume_mc,
@@ -438,3 +440,48 @@ def test_dump_diagnostics(tmp_path):
     flags = [int(line.split(",")[-1]) for line in lines[1:]]
     assert flags[0] == 0  # smooth interior point
     assert flags[1] == 1  # diagonal ridge needs the fallback
+
+
+def _reference_dump_diagnostics(sf, points, path):
+    """The csv.writer row loop that the column-wise writer replaced."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    l, _, flags = sf._scale_and_grad(pts)
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([f"u{i + 1}" for i in range(pts.shape[1])] + ["l", "flag"])
+        for row, li, fi in zip(pts, l, flags):
+            w.writerow([repr(float(v)) for v in row] + [repr(float(li)), int(fi)])
+
+
+def _grid(domain, l0, n):
+    lo, hi = bounding_box(domain, 2 * l0)
+    axes = [np.linspace(lo[i], hi[i], n) for i in range(domain.dim)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def _cloud():
+    pts = np.random.default_rng(7).uniform(-1.3, 1.3, (400, 2))
+    pts[:4] = [[0.0, -0.0], [-0.0, 0.0], [0.5, 0.5], [1e-300, -1e-17]]  # signed zeros stay apart
+    return pts
+
+
+@pytest.mark.parametrize(
+    "domain, l0, points, flagged",
+    [
+        (Disk(1.0), 0.1, _grid(Disk(1.0), 0.1, 40), False),
+        (square(0.9), 0.05, _grid(square(0.9), 0.05, 41), True),  # diagonal ridges
+        (Box((1.0, 0.7, 1.3)), 0.1, _grid(Box((1.0, 0.7, 1.3)), 0.1, 12), True),
+        (Disk(1.0), 0.1, _cloud(), False),  # no repeated coordinates
+        (square(1.0), 0.1, [0.3, 0.3], True),  # one point, given flat
+    ],
+    ids=["disk", "square", "box3", "cloud", "single"],
+)
+def test_dump_diagnostics_matches_row_writer(tmp_path, domain, l0, points, flagged):
+    sf = ScaleFunction(domain, l0)
+    dump_diagnostics(sf, points, tmp_path / "new.csv")
+    _reference_dump_diagnostics(sf, points, tmp_path / "ref.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.endswith(b"\r\n")
+    if flagged:
+        assert b",1\r\n" in new
