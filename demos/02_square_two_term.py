@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from weylkit import box_spectrum, fit_second_term, square, sweep, sweep_to_csv, fit_to_json
+from weylkit.output import write
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
@@ -31,6 +32,6 @@ print(f"\nfitted second coefficient:    {report.fitted_second_coefficient:.6f}")
 print(f"predicted (1/4) L_1 |bdry|:   {report.predicted_second_coefficient:.6f}")
 print(f"remainder exponent (log-log): {report.fitted_remainder_exponent:+.3f}")
 
-sweep_to_csv(result, OUT / "square_sweep.csv")
-fit_to_json(report, OUT / "square_fit.json")
+write(sweep_to_csv(result), OUT / "square_sweep.csv")
+write(fit_to_json(report), OUT / "square_fit.json")
 print(f"\nwrote {OUT/'square_sweep.csv'} and {OUT/'square_fit.json'}")

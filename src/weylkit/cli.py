@@ -21,6 +21,7 @@ from .errors import ConfigError, WeylkitError, exit_code_for
 from .fdlap import assemble, fd_spectrum
 from .functionals import fit_second_term, fit_to_json, sweep, sweep_to_csv
 from .localization import ScaleFunction, bounding_box, dump_diagnostics, normalization_check
+from .output import json_text, write
 from .spectra import save_spectrum, spectrum_for
 
 MC_SEED = 0  # fixed seed for every Monte-Carlo ingredient
@@ -56,15 +57,11 @@ def parse_h_grid(spec: str) -> tuple[float, ...]:
         raise ConfigError(f"bad h grid spec {spec!r}: {exc}") from exc
     if not (math.inf > start > stop > 0) or count < 1:
         raise ConfigError("h grid needs START > STOP > 0 and COUNT >= 1")
-    return tuple(float(h) for h in np.geomspace(start, stop, count))
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    grid = tuple(float(h) for h in np.geomspace(start, stop, count))
+    hh = grid[-1] * grid[-1]
+    if not (math.inf > hh > 0):
+        raise ConfigError(f"smallest h {grid[-1]!r} has h^2 = {hh!r}, not positive and finite")
+    return grid
 
 
 def _sweep_inputs(args):
@@ -77,14 +74,13 @@ def _sweep_inputs(args):
 
 def cmd_constants(args) -> int:
     c = constants(args.d)
-    payload = {"omega_d": c.omega_d, "C_d": c.C_d, "L_d": c.L_d}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    write(json_text({"omega_d": c.omega_d, "C_d": c.C_d, "L_d": c.L_d}), args.out or None)
     return 0
 
 
 def cmd_sweep(args) -> int:
     domain, h_grid, spectrum = _sweep_inputs(args)
-    _emit(sweep_to_csv(sweep(domain, spectrum, h_grid)), args.out)
+    write(sweep_to_csv(sweep(domain, spectrum, h_grid)), args.out or None)
     return 0
 
 
@@ -92,11 +88,16 @@ def cmd_fit(args) -> int:
     domain, h_grid, spectrum = _sweep_inputs(args)
     result = sweep(domain, spectrum, h_grid)
     report = fit_second_term(result, domain)
-    _emit(fit_to_json(report), args.out)
+    write(fit_to_json(report), args.out or None)
     return 0
 
 
 def cmd_halfspace(args) -> int:
+    if args.check == "profile":
+        if args.out is None:
+            raise ConfigError("profile check needs --out for its CSV")
+        halfspace.profile_to_csv(args.d, np.linspace(0.0, args.T, args.count), args.out)
+        return 0
     if args.check == "boundary-coefficient":
         value = halfspace.boundary_coefficient(args.d, args.T, tol=args.tol)
         target = 0.25 * constants(args.d - 1).L_d
@@ -105,19 +106,13 @@ def cmd_halfspace(args) -> int:
             "target": target,
             "achieved_tolerance": abs(value - target),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.check == "profile":
-        ts = np.linspace(0.0, args.T, args.count)
-        if args.out is None:
-            raise ConfigError("profile check needs --out for its CSV")
-        halfspace.profile_to_csv(args.d, ts, args.out)
     elif args.check == "tail":
         value = halfspace.tail_bound_check(args.d, args.T)
-        _emit(json.dumps({"value": value, "horizon": args.T}, indent=2) + "\n", args.out)
+        payload = {"value": value, "horizon": args.T}
     else:  # dual
         pairs = [(t, halfspace.cosine_integral(args.d, t)) for t in (0.1, 1.0, 5.0, 10.0, 50.0)]
         payload = {"d": args.d, "values": [{"t": t, "cosine_integral": v} for t, v in pairs]}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    write(json_text(payload), args.out or None)
     return 0
 
 

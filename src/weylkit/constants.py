@@ -62,7 +62,10 @@ class Constants:
 
 
 def unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0)
+    try:
+        return math.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0)
+    except OverflowError:
+        raise ConfigError(f"dimension {d} is too large: Gamma(d/2 + 1) overflows") from None
 
 
 def constants(d: int) -> Constants:

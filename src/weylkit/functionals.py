@@ -17,17 +17,14 @@ range where the spectrum is complete raises rather than truncating.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .constants import constants
 from .errors import CompletenessError, ConfigError, FitError, InvariantViolation
+from .output import csv_text, json_text
 from .spectra import Spectrum
 
 SKIP_LARGEST = 3  # pre-asymptotic largest h left out of the remainder fit
@@ -242,31 +239,10 @@ def riesz_from_counting(spectrum: Spectrum, h: float) -> float:
     return h * h * math.fsum(counts * np.diff(breaks))
 
 
-def sweep_to_csv(result: SweepResult, path=None) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["h", "N", "riesz", "weyl1", "weyl2", "residual1", "residual2"])
-    for r in result.records:
-        w.writerow(
-            [repr(r.h), r.n_below, repr(r.riesz), repr(r.weyl1), repr(r.weyl2),
-             repr(r.residual1), repr(r.residual2)]
-        )
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+def sweep_to_csv(result: SweepResult) -> str:
+    names = ("h", "n_below", "riesz", "weyl1", "weyl2", "residual1", "residual2")
+    return csv_text(["h", "N", *names[2:]], [result.column(n) for n in names])
 
 
-def fit_to_json(report: FitReport, path=None) -> str:
-    payload = {
-        "fitted_second_coefficient": report.fitted_second_coefficient,
-        "predicted_second_coefficient": report.predicted_second_coefficient,
-        "fitted_remainder_exponent": report.fitted_remainder_exponent,
-        "h_range": list(report.h_range),
-        "residual_norm": report.residual_norm,
-    }
-    text = json.dumps(payload, indent=2) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+def fit_to_json(report: FitReport) -> str:
+    return json_text(asdict(report))

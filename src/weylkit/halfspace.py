@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -36,6 +35,7 @@ from scipy.integrate import quad
 from .bessel import bessel_j, zeros_below
 from .constants import TWO_PI, constants, gamma, phase_space_integral
 from .errors import ConfigError, ConvergenceError, InvariantViolation, NumericsError
+from .output import csv_text, write
 
 DUAL_EVAL_TOL = 1e-8
 
@@ -56,7 +56,10 @@ def _norms(d: int) -> tuple[float, float]:
     i0, _ = quad(lambda s: (1.0 - s * s) ** ((d + 1) / 2.0), 0.0, 1.0, epsabs=1e-14)
     c_quad = psi1 / i0
     # J_nu(2t)/t^nu -> 1/Gamma(nu+1) as t -> 0, nu = d/2 + 1
-    c_bessel = psi1 * gamma(d / 2.0 + 2.0)
+    try:
+        c_bessel = psi1 * gamma(d / 2.0 + 2.0)
+    except OverflowError:
+        raise ConfigError(f"dimension {d} is too large: Gamma(d/2 + 2) overflows") from None
     return c_quad, c_bessel
 
 
@@ -247,15 +250,8 @@ def tail_bound_check(d: int, t_max: float = 400.0) -> float:
 
 
 def profile_to_csv(d: int, t_values, path) -> None:
-    """Density profile as CSV rows t,rho,bulk.
-
-    Every row is computed before `path` is opened, so a failed profile
-    writes no file.
-    """
+    """Density profile as CSV rows t,rho,bulk."""
     d = _check_dim(d)
-    bulk = repr(constants(d).L_d)
     ts = np.array([float(t) for t in t_values])
     rho = density_profile(d, ts)
-    rows = "".join(f"{t!r},{r!r},{bulk}\r\n" for t, r in zip(ts.tolist(), rho.tolist()))
-    with Path(path).open("w", newline="") as fh:
-        fh.write("t,rho,bulk\r\n" + rows)
+    write(csv_text(["t", "rho", "bulk"], [ts, rho, np.full(ts.shape, constants(d).L_d)]), path)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,6 +37,7 @@ from scipy.integrate import quad
 from .constants import unit_ball_volume
 from .domains import Box, Disk, _as_batch
 from .errors import ConfigError, DomainError, InvariantViolation, NumericsError
+from .output import csv_text, write
 
 FD_STEP_FACTOR = 1e-6  # symmetric finite-difference step, as a multiple of l0
 MAX_DEPTH = 4  # cell refinements in normalization_check
@@ -505,25 +505,9 @@ def surface_defect_slope(c: float, alpha: float, radii, dim: int = 2) -> float:
 # diagnostics
 
 
-def _reprs(column: np.ndarray) -> np.ndarray:
-    """repr of each value of a float column, computed once per distinct bit
-    pattern (grid axes repeat; -0.0 and 0.0 stay apart)."""
-    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    return np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[inverse]
-
-
 def dump_diagnostics(sf: ScaleFunction, points, path) -> None:
-    """CSV of (u, l(u), flag); flag=1 where grad l fell back to differences.
-
-    Built column by column and written in one piece, each line ending in
-    CRLF as csv.writer ends it."""
+    """CSV of (u, l(u), flag); flag=1 where grad l fell back to differences."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     l, _, flags = sf._scale_and_grad(pts)
-    d = pts.shape[1]
-    cols = [_reprs(pts[:, i]) for i in range(d)]
-    cols.append([repr(v) for v in l.tolist()])
-    cols.append([str(int(f)) for f in flags.tolist()])
-    lines = [",".join([f"u{i + 1}" for i in range(d)] + ["l", "flag"])]
-    lines += map(",".join, zip(*cols))
-    with Path(path).open("w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    header = [f"u{i + 1}" for i in range(pts.shape[1])] + ["l", "flag"]
+    write(csv_text(header, [*pts.T, l, flags.astype(int)]), path)

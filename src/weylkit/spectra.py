@@ -29,6 +29,7 @@ from .bessel import zeros_below_orders
 from .constants import constants
 from .domains import Ball, Box, Disk
 from .errors import CompletenessError, ConfigError, ResourceError
+from .output import csv_text, json_text, write
 
 DEFAULT_BUDGET = 10**8  # max stored eigenvalues; read at call time
 
@@ -67,7 +68,12 @@ class Spectrum:
         return Spectrum(self.eigenvalues[self.eigenvalues < cutoff], cutoff, self.provenance)
 
 
-def _check_budget(estimate: float, what: str) -> None:
+def _check_budget(domain, cutoff: float, what: str) -> None:
+    d = domain.dim
+    try:  # Weyl's estimate of the count with room to spare; it may overflow
+        estimate = 1.2 * constants(d).C_d * domain.volume * cutoff ** (d / 2) + 100
+    except OverflowError:
+        estimate = math.inf
     if estimate > DEFAULT_BUDGET:
         raise ResourceError(
             f"{what} would need ~{estimate:.3g} eigenvalues, over the budget {DEFAULT_BUDGET:g}"
@@ -83,9 +89,7 @@ def box_spectrum(sides, cutoff: float) -> Spectrum:
     box = Box(tuple(sides))
     if cutoff <= 0:
         raise ConfigError(f"cutoff must be positive, got {cutoff}")
-    d = box.dim
-    cons = constants(d)
-    _check_budget(1.2 * cons.C_d * box.volume * cutoff ** (d / 2) + 100, "box spectrum")
+    _check_budget(box, cutoff, "box spectrum")
     q = cutoff / math.pi**2  # search sum (m_i/a_i)^2 < q
     partial = np.array([0.0])
     for a in box.sides[:-1]:
@@ -125,7 +129,7 @@ def _bessel_spectrum(ball, cutoff: float) -> Spectrum:
         raise ConfigError(f"cutoff must be positive, got {cutoff}")
     d = ball.dim
     what = f"{type(ball).__name__.lower()} spectrum"
-    _check_budget(1.2 * constants(d).C_d * ball.volume * cutoff ** (d / 2) + 100, what)
+    _check_budget(ball, cutoff, what)
     x_max = math.sqrt(cutoff) * ball.radius
     orders = list(itertools.takewhile(lambda nu: nu <= x_max,
                                       (ell + d / 2 - 1 for ell in itertools.count())))
@@ -165,15 +169,9 @@ def save_spectrum(spectrum: Spectrum, csv_path) -> None:
     """One eigenvalue per row under header `lambda`; provenance and cutoff
     go to a JSON sidecar, the same name with a .json extension."""
     csv_path = Path(csv_path)
-    with csv_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda"])
-        for lam in spectrum.eigenvalues:
-            w.writerow([repr(float(lam))])
-    csv_path.with_suffix(".json").write_text(
-        json.dumps({"provenance": spectrum.provenance, "cutoff": spectrum.cutoff}, indent=2)
-        + "\n"
-    )
+    write(csv_text(["lambda"], [spectrum.eigenvalues]), csv_path)
+    write(json_text({"provenance": spectrum.provenance, "cutoff": spectrum.cutoff}),
+          csv_path.with_suffix(".json"))
 
 
 def load_spectrum(csv_path) -> Spectrum:

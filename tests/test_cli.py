@@ -111,6 +111,10 @@ def test_fd_command(tmp_path):
     assert len(lines) - 1 == 6
 
 
+def _unit_box(dim: int) -> str:
+    return "box:" + ",".join(["1"] * dim)
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
@@ -136,6 +140,14 @@ def test_config_error_exit_code(tmp_path, capsys):
         [*fd, "--step", "0.1", "--threshold", "nan", *out],
         [*fd, "--step", "0.1", "--threshold", "inf", *out],
         ["constants", "--d", "2", "--out", str(missing / "c.json")],  # unwritable --out
+        # dimensions whose Gamma function overflows in float64
+        ["constants", "--d", "285"],
+        *(["halfspace", "--d", "281", "--check", check, *out]
+          for check in ("boundary-coefficient", "profile", "tail", "dual")),
+        ["sweep", "--domain", _unit_box(285), "--h", "log:0.1:0.02:5"],
+        # smallest h whose square underflows to 0 or overflows
+        ["fit", "--domain", "square:1", "--h", "log:1:1e-170:6"],
+        ["fit", "--domain", "square:1", "--h", "log:1e300:1e200:6"],
         [*fd, "--step", "0.25", "--threshold", "50", "--out", str(missing / "s.csv")],
     ):
         assert main(argv) == 2
@@ -144,6 +156,72 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert err["type"] == "ConfigError"
         if argv[-1].startswith(str(missing)):
             assert str(missing) in err["message"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["constants", "--d", "283"], 2,
+                 "dimension 283 is too large: Gamma(d/2 + 1) overflows",
+                 id="constants-d283"),
+    pytest.param(["halfspace", "--d", "281", "--check", "dual"], 2,
+                 "dimension 281 is too large: Gamma(d/2 + 2) overflows",
+                 id="halfspace-d281"),
+    pytest.param(["sweep", "--domain", _unit_box(283), "--h", "log:0.1:0.02:5"], 2,
+                 "dimension 283 is too large: Gamma(d/2 + 1) overflows",
+                 id="box-283-sides"),
+    pytest.param(["sweep", "--domain", _unit_box(200), "--h", "log:0.1:0.02:5"], 4,
+                 "box spectrum would need ~inf eigenvalues, over the budget 1e+08",
+                 id="box-200-sides"),
+    pytest.param(["sweep", "--domain", "square:1", "--h", "log:1:1e-170:6"], 2,
+                 "smallest h 1e-170 has h^2 = 0.0, not positive and finite",
+                 id="h2-underflow"),
+    pytest.param(["sweep", "--domain", "square:1", "--h", "log:1e300:1e200:6"], 2,
+                 "smallest h 1e+200 has h^2 = inf, not positive and finite",
+                 id="h2-overflow"),
+    # h^2 = 1e-320 is subnormal, not 0: the grid is accepted and the budget refuses it
+    pytest.param(["fit", "--domain", "square:1", "--h", "log:1:1e-160:6"], 4,
+                 "box spectrum would need ~inf eigenvalues, over the budget 1e+08",
+                 id="h2-subnormal"),
+])
+def test_float_limit_errors(capsys, argv, code, message):
+    assert main(argv) == code
+    kind = "ConfigError" if code == 2 else "ResourceError"
+    assert capsys.readouterr().out == json.dumps(
+        {"error": {"type": kind, "message": message, "exit_code": code}}) + "\n"
+
+
+def test_empty_out_path(tmp_path, monkeypatch, capsys):
+    """--out "" prints to stdout where --out is optional; where a file is
+    required, it names the directory "." and fails before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "poly.json").write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    assert main(["constants", "--d", "2", "--out", ""]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "omega_d": 3.1415926535897922,\n  "C_d": 0.07957747154594765,\n'
+        '  "L_d": 0.03978873577297382\n}\n'
+    )
+    for argv in (
+        ["sweep", "--domain", "square:1", "--h", "log:0.1:0.02:6"],
+        ["fit", "--domain", "square:1", "--h", "log:0.1:0.008:10"],
+        ["halfspace", "--check", "boundary-coefficient", "--T", "50"],
+        ["halfspace", "--check", "tail", "--T", "20"],
+        ["halfspace", "--check", "dual"],
+    ):
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert main([*argv, "--out", ""]) == 0
+        assert capsys.readouterr().out == expected
+    for argv in (
+        ["halfspace", "--check", "profile", "--T", "4", "--count", "3"],
+        ["localize", "--domain", "disk:1", "--l0", "0.1", "--grid", "3",
+         "--check-normalization", "1"],
+        ["fd", "--polygon", "poly.json", "--step", "0.25", "--threshold", "50"],
+    ):
+        assert main([*argv, "--out", ""]) == 2
+        assert capsys.readouterr().out == (
+            '{"error": {"type": "ConfigError", "message": "[Errno 21] Is a directory: \'.\'", '
+            '"exit_code": 2}}\n'
+        )
+    assert [p.name for p in tmp_path.iterdir()] == ["poly.json"]
 
 
 def test_failed_profile_leaves_no_csv(tmp_path, capsys, monkeypatch):

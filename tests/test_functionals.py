@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -25,6 +27,7 @@ from weylkit.functionals import (
     sweep_to_csv,
     weyl_prediction,
 )
+from weylkit.output import write
 from weylkit.spectra import Spectrum, box_spectrum, disk_spectrum, spectrum_for
 
 H50 = 1.0 / math.sqrt(50.0)
@@ -250,16 +253,17 @@ def test_csv_and_json_outputs(tmp_path, square_50):
     dom = square(1.0)
     res = sweep(dom, square_50, [0.4, H50])
     path = tmp_path / "sweep.csv"
-    text = sweep_to_csv(res, path)
+    text = sweep_to_csv(res)
+    write(text, path)
     assert path.read_bytes() == text.encode()
-    assert sweep_to_csv(res) == text
     lines = path.read_text().splitlines()
     assert lines[0] == "h,N,riesz,weyl1,weyl2,residual1,residual2"
     assert len(lines) == 3
 
     rep = FitReport(1.0, 2.0, -0.5, (0.01, 0.1), 0.001)
     out = tmp_path / "fit.json"
-    text = fit_to_json(rep, out)
+    text = fit_to_json(rep)
+    write(text, out)
     data = json.loads(out.read_text())
     assert json.loads(text) == data
     assert set(data) == {
@@ -271,6 +275,55 @@ def test_csv_and_json_outputs(tmp_path, square_50):
     }
     assert data["h_range"] == [0.01, 0.1]
 
+
+
+def _reference_sweep_to_csv(result):
+    """The csv.writer row loop that sweep_to_csv replaced."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["h", "N", "riesz", "weyl1", "weyl2", "residual1", "residual2"])
+    for r in result.records:
+        w.writerow([repr(r.h), r.n_below, repr(r.riesz), repr(r.weyl1), repr(r.weyl2),
+                    repr(r.residual1), repr(r.residual2)])
+    return buf.getvalue()
+
+
+def _reference_fit_to_json(report):
+    """The hand-built payload that fit_to_json replaced."""
+    payload = {
+        "fitted_second_coefficient": report.fitted_second_coefficient,
+        "predicted_second_coefficient": report.predicted_second_coefficient,
+        "fitted_remainder_exponent": report.fitted_remainder_exponent,
+        "h_range": list(report.h_range),
+        "residual_norm": report.residual_norm,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("case", ["empty", "square", "disk", "negative"])
+def test_sweep_to_csv_matches_row_writer(case):
+    if case == "empty":
+        result = SweepResult(square(1.0), [])
+    elif case == "negative":  # residuals of both signs, -0.0 and repeated values
+        result = SweepResult(square(1.0), [
+            SweepRecord(0.5, 0, 0.0, 1.0, -0.0, -1.0, 0.0),
+            SweepRecord(0.25, 3, 0.5, 1.0, 0.5, -0.5, -0.0),
+            SweepRecord(0.125, 3, 0.5, 2.5, 1.5, -2.0, -1.0),
+        ])
+    else:
+        dom = square(1.0) if case == "square" else Disk(1.0)
+        hs = np.geomspace(0.3, 0.02, 40)
+        result = sweep(dom, spectrum_for(dom, 1.01 / hs[-1] ** 2), hs)
+        assert (result.column("residual1") < 0).all()  # Berezin: riesz < weyl1
+    text = sweep_to_csv(result)
+    assert text == _reference_sweep_to_csv(result)
+    assert text.count("\r\n") == len(result.records) + 1
+
+
+def test_fit_to_json_matches_payload():
+    for rep in (FitReport(1.0, 2.0, -0.5, (0.01, 0.1), 0.001),
+                FitReport(-0.0, 0.2122065907891936, 0.049, (1e-300, 1e300), 5e-324)):
+        assert fit_to_json(rep) == _reference_fit_to_json(rep)
 
 def _terms(kind: str, n: int, seed: int) -> np.ndarray:
     """n float64 terms of one kind, from a seeded generator."""

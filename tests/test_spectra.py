@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -17,7 +19,8 @@ from weylkit.spectra import (
     save_spectrum,
     spectrum_for,
 )
-from weylkit.domains import Ball, Box, Disk
+from weylkit.domains import Ball, Box, Disk, lshape_polygon
+from weylkit.fdlap import assemble, fd_spectrum
 
 
 def brute_box_eigenvalues(sides, cutoff):
@@ -234,3 +237,34 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(back.eigenvalues, s.eigenvalues)
     header = path.read_text().splitlines()[0]
     assert header == "lambda"
+
+
+def _reference_save_spectrum(spectrum, csv_path):
+    """The csv.writer row loop that save_spectrum replaced."""
+    with csv_path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["lambda"])
+        for lam in spectrum.eigenvalues:
+            w.writerow([repr(float(lam))])
+    csv_path.with_suffix(".json").write_text(
+        json.dumps({"provenance": spectrum.provenance, "cutoff": spectrum.cutoff}, indent=2)
+        + "\n"
+    )
+
+
+@pytest.mark.parametrize("case", ["empty", "zero", "disk", "box", "fd"])
+def test_save_spectrum_matches_row_writer(tmp_path, case):
+    spectrum = {
+        "empty": lambda: Spectrum(np.empty(0), 1.0, "exact-box"),
+        "zero": lambda: Spectrum(np.array([0.0, 0.0, 1e-300, 2.5]), 3.0, "exact-box"),
+        "disk": lambda: disk_spectrum(1.0, 400.0),  # multiplicity 2 for nu >= 1
+        "box": lambda: box_spectrum((1.0, 1.0, 1.0), 600.0),  # cube degeneracies
+        "fd": lambda: fd_spectrum(assemble(lshape_polygon(), 1 / 16), 400.0),
+    }[case]()
+    save_spectrum(spectrum, tmp_path / "new.csv")
+    _reference_save_spectrum(spectrum, tmp_path / "ref.csv")
+    for suffix in (".csv", ".json"):
+        new, ref = (tmp_path / f"{name}{suffix}" for name in ("new", "ref"))
+        assert new.read_bytes() == ref.read_bytes()
+    if case in ("disk", "box"):
+        assert np.unique(spectrum.eigenvalues).size < len(spectrum)
