@@ -17,7 +17,7 @@ import numpy as np
 
 from . import domains, halfspace
 from .constants import constants
-from .errors import ConfigError, WeylkitError, exit_code_for
+from .errors import ConfigError, ResourceError, WeylkitError, exit_code_for
 from .fdlap import assemble, fd_spectrum
 from .functionals import fit_second_term, fit_to_json, sweep, sweep_to_csv
 from .localization import ScaleFunction, bounding_box, dump_diagnostics, normalization_check
@@ -25,6 +25,7 @@ from .output import json_text, write
 from .spectra import save_spectrum, spectrum_for
 
 MC_SEED = 0  # fixed seed for every Monte-Carlo ingredient
+_GRID_BUDGET = 2**21  # localize grid points (128^3); about 0.4 kB of memory each in 3-D
 
 
 def parse_domain(spec: str):
@@ -122,9 +123,13 @@ def cmd_localize(args) -> int:
     sf = ScaleFunction(domain, args.l0)
     if args.out is None:
         raise ConfigError("localize needs --out for the diagnostics CSV")
-    axes = [np.linspace(lo[i], hi[i], args.grid) for i in range(domain.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    g, d = args.grid, domain.dim
+    if g**d > _GRID_BUDGET:
+        raise ResourceError(f"localize grid of {g}^{d} points is over the budget {_GRID_BUDGET}")
+    # the points of meshgrid(..., indexing="ij") in C order, for any number of axes
+    pts = np.empty((g**d, d))
+    for i in range(d):
+        pts[:, i] = np.tile(np.repeat(np.linspace(lo[i], hi[i], g), g ** (d - 1 - i)), g**i)
     dump_diagnostics(sf, pts, args.out)
     if args.check_normalization:
         rng = np.random.default_rng(MC_SEED)

@@ -13,6 +13,14 @@ and the one/two-term predictions are
 
 All queries guard h^-2 against the spectrum cutoff: asking beyond the
 range where the spectrum is complete raises rather than truncating.
+
+riesz(h) is the correctly rounded value of the exact rational
+N - fl(h^2) * sum(lambda_k), which is the exact sum of the terms
+1 - fl(h^2) lambda_k. One walk down a descending h grid grows a single
+exact expansion of the eigenvalue prefix sum (Shewchuk, Discrete Comput.
+Geom. 18, 1997) and multiplies it by h^2 exactly (Dekker, Numer. Math.
+18, 1971), so a sweep of H values over N eigenvalues costs O(N + H L),
+with L the expansion length, a handful of components.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .constants import constants
-from .errors import CompletenessError, ConfigError, FitError, InvariantViolation
+from .errors import CompletenessError, ConfigError, FitError, InvariantViolation, NumericsError
 from .output import csv_text, json_text
 from .spectra import Spectrum
 
@@ -32,6 +40,10 @@ RESIDUAL_FLOOR = 1e-9  # |residual2| below this multiple of weyl1 is roundoff
 SUM_BLOCK = 2**15  # terms per exact block sum; a block and its scratch stay in cache
 # 2^M >= SUM_BLOCK + 2: no partial sum of one extracted level can round
 _LEVEL_SCALE = 2.0**16
+_SPLITTER = 2.0**27 + 1.0  # Veltkamp's constant: splits a double into two 26-bit halves
+# the positive eigenvalues of a Riesz prefix, scaled below 1, stay at or above
+# this, so that every product of `_riesz_means` is inside `_two_product`'s range
+_MIN_SCALED = 2.0**-916
 
 
 def _check_h(h: float) -> None:
@@ -39,6 +51,8 @@ def _check_h(h: float) -> None:
         raise ConfigError(f"h must be finite, got {h}")
     if h <= 0:
         raise ConfigError(f"h must be positive, got {h}")
+    if h * h == 0 or 1.0 / (h * h) == math.inf:
+        raise ConfigError(f"h={h!r} is too small: 1/h^2 is not finite")
 
 
 def _below(spectrum: Spectrum, h: float) -> np.ndarray:
@@ -53,8 +67,8 @@ def _below(spectrum: Spectrum, h: float) -> np.ndarray:
     return spectrum.eigenvalues[: np.searchsorted(spectrum.eigenvalues, thr, side="left")]
 
 
-def exact_sum(blocks) -> float:
-    """Correctly rounded sum of every term of `blocks`, bitwise `math.fsum`'s.
+def _levels(blocks):
+    """Exact sums of the extraction levels of every term of `blocks`.
 
     `blocks` is an iterable of float64 arrays whose terms are finite and
     below 2^1000 in magnitude; the arrays are overwritten. Each run of
@@ -64,10 +78,9 @@ def exact_sum(blocks) -> float:
     multiple of 2^-53 sigma with |q| <= 2^-M sigma, p - q is exact, and
     every partial sum of q is a multiple of 2^-53 sigma no larger than
     sigma, so np.sum(q) is exact in any order. Extraction repeats on the
-    remainder p - q until it is zero, and `math.fsum` rounds the exact
-    level sums once, as it rounds the terms.
+    remainder p - q until it is zero; the level sums add up to the terms'
+    sum exactly.
     """
-    levels = []
     scratch = np.empty(SUM_BLOCK)
     for block in blocks:
         for start in range(0, block.size, SUM_BLOCK):
@@ -78,13 +91,111 @@ def exact_sum(blocks) -> float:
                 np.add(p, sigma, out=q)
                 q -= sigma
                 p -= q
-                levels.append(float(q.sum()))
-    return math.fsum(levels)
+                yield float(q.sum())
 
 
-def _riesz(lam: np.ndarray, h: float) -> float:
-    hh = h * h
-    return exact_sum(1.0 - hh * lam[i:i + SUM_BLOCK] for i in range(0, lam.size, SUM_BLOCK))
+def exact_sum(blocks) -> float:
+    """Correctly rounded sum of every term of `blocks`, bitwise `math.fsum`'s.
+
+    The terms are those `_levels` takes (finite, below 2^1000, overwritten);
+    `math.fsum` rounds the exact level sums once, as it rounds the terms.
+    """
+    return math.fsum(_levels(blocks))
+
+
+def _grow(partials: list[float], x: float) -> None:
+    """Add x to the expansion `partials` exactly.
+
+    Shewchuk's grow-expansion, the loop of `math.fsum`: each step is a
+    two-sum of magnitude-ordered operands, which is exact, so the sum of
+    the components grows by x exactly; the components stay nonoverlapping
+    and increasing in magnitude, and a zero is dropped, so every component
+    is nonzero. A sum that overflows leaves a non-finite component.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x] if x else []
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """p = fl(a b) and e with p + e == a b exactly.
+
+    Dekker's product on Veltkamp's split (Dekker, Numer. Math. 18, 1971;
+    Python 3.11 has no math.fma). Precondition, which the caller keeps:
+    a and b are finite and, with frexp exponents fa and fb (|a| < 2^fa),
+    either one is zero or fa, fb <= 996 (the split, _SPLITTER * a, does
+    not overflow), fa + fb <= 1023 (|a b| < 2^1023: no partial product
+    overflows) and fa + fb >= -968 (every partial product is a multiple
+    of ulp(a) ulp(b) >= 2^(fa + fb - 106) >= 2^-1074, so the error e does
+    not underflow).
+    """
+    p = a * b
+    c = _SPLITTER * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLITTER * b
+    bh = c - (c - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _riesz_means(spectrum: Spectrum, h_grid) -> list[tuple[int, float]]:
+    """(N, riesz) at every h of a descending grid, from one prefix expansion.
+
+    Every h is checked first (`_below`). The eigenvalues are scaled by
+    2^-K, where 2^K is above the largest threshold 1/fl(h^2), so the
+    prefix sum stays far from overflow; the scaling is exact because each
+    positive scaled eigenvalue is at least _MIN_SCALED, which is checked.
+    Going down the grid, each new segment of the prefix is summed exactly
+    by extraction (`_levels`) and grown into one expansion of
+    2^-K sum(lambda) (`_grow`). At each h every component v gives
+    a v = p + e exactly with a = fl(h^2) 2^K (`_two_product`), and
+    `math.fsum` rounds N - sum(p + e) once.
+
+    Why every product keeps `_two_product`'s precondition, given the one
+    check on _MIN_SCALED: the expansion is empty until the prefix holds a
+    positive eigenvalue; its components are finite, since the prefix sum
+    stays below N, nonzero (`_grow`) and multiples of ulp(_MIN_SCALED) =
+    2^-968 below 2N, so -967 <= fb <= 64.
+    1/fl(h_min^2) rounds to a threshold below 2^K, so a > 1/2 at every h,
+    and a positive eigenvalue lambda < 1/fl(h^2) of the prefix gives
+    a < (1 + 2^-50) / (2^-K lambda) < 2^917, so 0 <= fa <= 917.
+    """
+    counts = [len(_below(spectrum, h)) for h in h_grid]
+    if not counts:
+        return []
+    lam = spectrum.eigenvalues
+    k = math.frexp(1.0 / (h_grid[-1] * h_grid[-1]))[1]
+    first = np.searchsorted(lam, 0.0, side="right")  # the first positive eigenvalue
+    if first < counts[-1] and math.ldexp(lam[first], -k) < _MIN_SCALED:
+        raise NumericsError(
+            f"eigenvalue {float(lam[first])!r} is below 2^-916 of the largest threshold "
+            f"2^{k}: the Riesz sum is outside its exact range"
+        )
+    scale = math.ldexp(1.0, -k)
+    partials: list[float] = []
+    done = 0
+    means = []
+    for h, n in zip(h_grid, counts):
+        segment = (lam[i:min(i + SUM_BLOCK, n)] * scale for i in range(done, n, SUM_BLOCK))
+        for level in _levels(segment):
+            _grow(partials, level)
+        done = n
+        terms = [float(n)]
+        if partials:  # empty until the prefix holds a positive eigenvalue
+            a = math.ldexp(h * h, k)
+            for v in partials:
+                terms += (-x for x in _two_product(a, v))
+        means.append((n, math.fsum(terms)))
+    return means
 
 
 def counting_function(spectrum: Spectrum, h: float) -> int:
@@ -95,10 +206,12 @@ def counting_function(spectrum: Spectrum, h: float) -> int:
 def riesz_mean(spectrum: Spectrum, h: float) -> float:
     """Sum of (1 - h^2 lambda) over lambda < h^-2, correctly rounded.
 
-    The terms are built in blocks of SUM_BLOCK and summed exactly
-    (`exact_sum`), so the value is bitwise `math.fsum` of all of them.
+    The value is the correctly rounded exact rational N - fl(h^2) sum(lambda)
+    over the N eigenvalues below h^-2, the one-h case of `sweep`
+    (`_riesz_means`: Shewchuk's expansion and Dekker's product).
     """
-    return _riesz(_below(spectrum, h), h)
+    [(_, value)] = _riesz_means(spectrum, [h])
+    return value
 
 
 def weyl_prediction(domain, h: float, terms: int = 2) -> float:
@@ -154,14 +267,18 @@ class SweepResult:
 
 
 def sweep(domain, spectrum: Spectrum, h_grid) -> SweepResult:
-    """One record per h (grid must be sorted strictly descending)."""
+    """One record per h (grid must be sorted strictly descending).
+
+    Every riesz is `riesz_mean`'s value, correctly rounded; the grid is
+    walked once and each eigenvalue of the prefix is summed once, so the
+    cost is O(N + H L) for N eigenvalues, H values of h and an expansion
+    of L components (`_riesz_means`).
+    """
     h_grid = [float(h) for h in h_grid]
     if any(b >= a for a, b in zip(h_grid, h_grid[1:])):
         raise ConfigError("h grid must be sorted strictly descending")
     records = []
-    for h in h_grid:
-        lam = _below(spectrum, h)
-        n, rz = len(lam), _riesz(lam, h)
+    for h, (n, rz) in zip(h_grid, _riesz_means(spectrum, h_grid)):
         w1 = weyl_prediction(domain, h, terms=1)
         w2 = weyl_prediction(domain, h, terms=2)
         records.append(SweepRecord(h, n, rz, w1, w2, rz - w1, rz - w2))
@@ -230,8 +347,11 @@ def riesz_from_counting(spectrum: Spectrum, h: float) -> float:
     """Riesz mean recomputed as h^2 * integral of the counting function.
 
     Independent route used to verify riesz_mean: the integral of the step
-    function mu -> #{lambda < mu} over (0, h^-2) is evaluated exactly on
-    the sorted partition.
+    function mu -> #{lambda < mu} over (0, h^-2) is summed over the sorted
+    partition. Each cell width and each product with its count round once,
+    fsum and the final product once more, and 1/fl(h^2) rounds, so while
+    N h^-2 stays below the overflow threshold the value is within
+    2^-50 (|riesz| + N) of riesz_mean's.
     """
     lam = _below(spectrum, h)
     breaks = np.concatenate([[0.0], lam, [1.0 / (h * h)]])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit import halfspace
+from weylkit import cli, halfspace
 from weylkit.cli import main, parse_domain, parse_h_grid
 from weylkit.domains import Box, Disk
 from weylkit.errors import ConfigError
@@ -187,6 +187,43 @@ def test_float_limit_errors(capsys, argv, code, message):
     kind = "ConfigError" if code == 2 else "ResourceError"
     assert capsys.readouterr().out == json.dumps(
         {"error": {"type": kind, "message": message, "exit_code": code}}) + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--domain", _unit_box(6), "--l0", "0.5"],
+                 "localize grid of 64^6 points is over the budget 2097152", id="box-6-sides"),
+    pytest.param(["--domain", _unit_box(70), "--l0", "0.5", "--grid", "2"],
+                 "localize grid of 2^70 points is over the budget 2097152", id="box-70-sides"),
+    pytest.param(["--domain", "box:1,0.5,0.7", "--l0", "0.1", "--grid", "129"],
+                 "localize grid of 129^3 points is over the budget 2097152", id="box-129^3"),
+])
+def test_localize_grid_budget(tmp_path, capsys, argv, message):
+    """grid^dim is checked before any point is made: exit 4, no file."""
+    out = tmp_path / "d.csv"
+    assert main(["localize", *argv, "--out", str(out)]) == 4
+    assert capsys.readouterr().out == json.dumps(
+        {"error": {"type": "ResourceError", "message": message, "exit_code": 4}}) + "\n"
+    assert not out.exists()
+
+
+def test_localize_many_sides(tmp_path):
+    """More than numpy's 64 array dimensions: one point on a 70-side box
+    (was a meshgrid ValueError traceback), and an empty grid."""
+    out = tmp_path / "d.csv"
+    for grid, rows in (("1", 2), ("0", 1)):
+        assert main(["localize", "--domain", _unit_box(70), "--l0", "0.5", "--grid", grid,
+                     "--out", str(out)]) == 0
+        lines = out.read_bytes().split(b"\r\n")[:-1]
+        assert len(lines) == rows
+    assert lines[0] == b",".join([b"u%d" % i for i in range(1, 71)] + [b"l", b"flag"])
+
+
+def test_localize_grid_budget_edge(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_GRID_BUDGET", 27)
+    argv = ["localize", "--domain", "box:1,0.5,0.7", "--l0", "0.3", "--out", str(tmp_path / "d.csv")]
+    assert main([*argv, "--grid", "3"]) == 0
+    assert main([*argv, "--grid", "4"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ResourceError"
 
 
 def test_empty_out_path(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,9 +11,17 @@ from hypothesis import strategies as st
 
 from weylkit.constants import constants
 from weylkit.domains import Box, Disk, square
-from weylkit.errors import CompletenessError, ConfigError, FitError, InvariantViolation
+from weylkit.errors import (
+    CompletenessError,
+    ConfigError,
+    FitError,
+    InvariantViolation,
+    NumericsError,
+)
 from weylkit.functionals import (
     SUM_BLOCK,
+    _grow,
+    _two_product,
     FitReport,
     SweepRecord,
     SweepResult,
@@ -382,16 +391,213 @@ def test_exact_sum_rounds_once(terms, total):
     assert exact_sum([np.array(terms)]).hex() == total.hex()
 
 
+def _exact_riesz(lam: np.ndarray, hs) -> list[tuple[int, float]]:
+    """(N, riesz) at every h of a descending grid, from exact rationals.
+
+    The prefix sum S of the eigenvalues below 1/fl(h^2) is kept as an
+    integer over a power of two (every float is one), and riesz is
+    float(N - fl(h^2) S), which Fraction rounds correctly.
+    """
+    out, total, done = [], Fraction(0), 0
+    for h in hs:
+        hh = h * h
+        n = int(np.searchsorted(lam, 1.0 / hh, side="left"))
+        ratios = [float(x).as_integer_ratio() for x in lam[done:n]]
+        den = max((d for _, d in ratios), default=1)
+        total += Fraction(sum(m * (den // d) for m, d in ratios), den)
+        done = n
+        out.append((n, float(Fraction(n) - Fraction(hh) * total)))
+    return out
+
+
 @pytest.mark.parametrize("domain, cutoff", [
-    (Box((1.0, 1.2, 0.9)), 2.9e4),  # about 1e5 eigenvalues
+    (Box((1.0, 1.2, 0.9)), 2.9e4),  # about 86k eigenvalues
     (Disk(1.0), 4.0e3),
 ])
 def test_sweep_riesz_is_fsum(domain, cutoff):
-    """Every record's Riesz mean and count are those of the one-pass fsum."""
+    """Every record's riesz is the correctly rounded exact N - fl(h^2) S.
+
+    The reference used to be math.fsum of the rounded terms 1 - fl(h^2 lambda),
+    which is off the exact value at 26 of these 200 h on the box (by up to
+    8 ulps where riesz is small) and at 25 on the disk (1 ulp); the sweep
+    now rounds the exact rational once.
+    """
     spec = spectrum_for(domain, cutoff)
-    hs = np.geomspace(0.3, 1.0 / math.sqrt(cutoff / 1.01), 50)
-    for r in sweep(domain, spec, hs).records:
-        lam = spec.eigenvalues[spec.eigenvalues < 1.0 / (r.h * r.h)]
-        assert r.n_below == len(lam)
-        assert r.riesz.hex() == math.fsum(1.0 - r.h * r.h * lam).hex()
+    hs = np.geomspace(0.3, 1.0 / math.sqrt(cutoff / 1.01), 200)
+    records = sweep(domain, spec, hs).records
+    for r, (n, exact) in zip(records, _exact_riesz(spec.eigenvalues, hs)):
+        assert r.n_below == n
+        assert r.riesz.hex() == exact.hex()
         assert riesz_mean(spec, r.h) == r.riesz
+
+
+@st.composite
+def _spectrum_and_grid(draw):
+    """A sorted spectrum with ties and zeros, and a descending h grid whose
+    thresholds sit at random ranks, on eigenvalues, below the first one and
+    inside or across SUM_BLOCK blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.sampled_from([0, 1, 5, 300, SUM_BLOCK - 3, SUM_BLOCK + 40, 2 * SUM_BLOCK + 17]))
+    top = draw(st.sampled_from([1.0, 3.7e3, 2.0**60, 1e305]))
+    values = rng.uniform(0.0, top, size)
+    values[: draw(st.integers(0, 3))] = 0.0
+    lam = np.sort(np.repeat(values, rng.integers(1, 4, size)))  # ties
+    count = draw(st.integers(1, 12))
+    if lam.size:  # thresholds at random ranks, some exactly on an eigenvalue
+        ranks = np.sort(rng.integers(0, lam.size, count))
+        with np.errstate(divide="ignore"):  # a zero eigenvalue's h is inf, dropped below
+            hs = 1.0 / np.sqrt(lam[ranks] * rng.choice([1.0, 1.0 + 1e-9], count))
+    else:
+        hs = rng.uniform(0.01, 10.0, count)
+    hs = np.unique(hs[np.isfinite(hs)])[::-1]
+    if draw(st.booleans()):  # an eigenvalue exactly at the smallest h's threshold
+        lam = np.sort(np.append(lam, 1.0 / (hs[-1] * hs[-1]))) if hs.size else lam
+    cutoff = 2.0 * (1.0 / hs[-1] ** 2 if hs.size else 1.0)
+    return Spectrum(lam, min(cutoff, 1.7e308), "exact-box"), [float(h) for h in hs]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_spectrum_and_grid())
+def test_sweep_riesz_is_exact(case):
+    """sweep is bitwise the exact oracle, and the counting-function route
+    agrees within its stated error wherever its sum N h^-2 stays finite."""
+    spec, hs = case
+    records = sweep(square(1.0), spec, hs).records
+    for r, (n, exact) in zip(records, _exact_riesz(spec.eigenvalues, hs), strict=True):
+        assert (r.n_below, r.riesz.hex()) == (n, exact.hex())
+        if n / (r.h * r.h) < 1e300:
+            other = riesz_from_counting(spec, r.h)
+            assert abs(other - r.riesz) <= 2.0**-50 * (abs(r.riesz) + n)
+
+
+def test_riesz_power_of_two_scaling_is_bitwise(square_50):
+    """Scaling lambda by 4 and h by 1/2 changes no bit: the sums are exact."""
+    scaled = Spectrum(square_50.eigenvalues * 4.0, square_50.cutoff * 4.0, "exact-box")
+    hs = np.geomspace(0.3, H50, 9)
+    assert sweep(square(1.0), scaled, hs / 2.0).column("riesz").tolist() == \
+        sweep(square(1.0), square_50, hs).column("riesz").tolist()
+
+
+def _is_exact_product(a, b):
+    p, e = _two_product(a, b)
+    return (math.isfinite(p) and math.isfinite(e) and p == a * b
+            and Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b))
+
+
+ODD = 1.0 + 2.0**-52  # every bit of the product's error is set by this mantissa
+
+
+@pytest.mark.parametrize("a, b", [
+    (math.ldexp(ODD, 995), 0.75),  # fa = 996: the split of a is just below overflow
+    (-math.ldexp(2.0 - 2.0**-52, 995), -(1.0 + 2.0**-30)),
+    (math.ldexp(ODD, 511), math.ldexp(2.0 - 2.0**-52, 510)),  # fa + fb = 1023
+    (ODD, math.ldexp(ODD, -970)),  # fa + fb = -968: e is 2^-1073, one above the bottom
+    (math.ldexp(ODD, -500), math.ldexp(2.0 - 2.0**-52, -469)),
+    (math.ldexp(1.0, -1074), math.ldexp(ODD, 105)),  # a subnormal, e = 0
+    (0.1, 3.0), (1.0 / 3.0, -7.1e-200),
+    (0.0, math.ldexp(ODD, 900)), (-0.0, 5e-324),  # a zero factor anywhere
+])
+def test_two_product_exact_at_range_edges(a, b):
+    assert _is_exact_product(a, b)
+    assert _is_exact_product(b, a)
+
+
+@pytest.mark.parametrize("a, b", [
+    (math.ldexp(2.0 - 2.0**-52, 996), 0.75),  # fa = 997: 2^27 a overflows
+    (0.75, -math.ldexp(2.0 - 2.0**-52, 996)),
+    # fa + fb = 1024: a b overflows
+    (math.ldexp(2.0 - 2.0**-52, 511), math.ldexp(2.0 - 2.0**-52, 511)),
+    (ODD, math.ldexp(ODD, -971)),  # fa + fb = -969: the exact error is no double
+])
+def test_two_product_precondition_is_tight(a, b):
+    """Just outside the documented range the product is no longer exact,
+    which is why `_riesz_means` checks its input against _MIN_SCALED."""
+    assert not _is_exact_product(a, b)
+
+
+def _lowest_bit(y: float) -> Fraction:
+    num, den = abs(y).as_integer_ratio()
+    return Fraction(num & -num, den)
+
+
+def _check_expansion(partials, exact):
+    assert sum(map(Fraction, partials)) == exact
+    nonzero = [v for v in partials if v]
+    # nonoverlapping and increasing: each component is below the lowest set bit of the next
+    assert all(abs(x) < _lowest_bit(y) for x, y in zip(nonzero, nonzero[1:]))
+
+
+@pytest.mark.parametrize("values", [
+    [1e100, 1.0, -1e100, -1.0],  # cancels to zero
+    [1.0, 2.0**-53, 2.0**-106, -1.0, 2.0**-160],  # cancels down to the low components
+    [math.ldexp(1.0, 1022), math.ldexp(1.0, 1022) * (1 - 2.0**-52), -math.ldexp(1.0, 1022)],
+    [5e-324, 5e-324, 1.0, -1.0, 2.5e-323],  # subnormal components
+    [0.1] * 10 + [-1.0],
+])
+def test_grow_exact_with_cancelling_components(values):
+    partials = []
+    for x in values:
+        _grow(partials, x)
+    _check_expansion(partials, sum(map(Fraction, values)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1e300, 1e300, allow_nan=False), max_size=40))
+def test_grow_is_exact(values):
+    partials = []
+    for x in values:
+        _grow(partials, x)
+    _check_expansion(partials, sum(map(Fraction, values)))
+    assert math.fsum(partials) == math.fsum(values)
+
+
+def test_grow_drops_zeros_and_overflow_leaves_non_finite_component():
+    partials = []
+    for x in (0.0, -0.0, 1.0, -1.0, 0.0):
+        _grow(partials, x)
+    assert partials == []
+    for x in (1.7e308, 1.7e308):
+        _grow(partials, x)
+    assert not all(map(math.isfinite, partials))
+
+
+def test_riesz_scaling_guard():
+    """The eigenvalues are scaled by 2^-K below the largest threshold; a
+    positive one below 2^-916 after scaling is refused, one at it is exact."""
+    hs = [0.8, 0.7]
+    k = math.frexp(1.0 / (hs[-1] * hs[-1]))[1]
+    at_edge = Spectrum(np.array([0.0, math.ldexp(1.0, k - 916), 0.5, 1.5]), 4.0, "exact-box")
+    records = sweep(square(1.0), at_edge, hs).records
+    for r, (n, exact) in zip(records, _exact_riesz(at_edge.eigenvalues, hs)):
+        assert (r.n_below, r.riesz) == (n, exact)
+    below = Spectrum(np.array([0.0, math.ldexp(ODD, k - 917), 1.5]), 4.0, "exact-box")
+    with pytest.raises(NumericsError, match="outside its exact range"):
+        sweep(square(1.0), below, hs)
+    with pytest.raises(NumericsError, match="outside its exact range"):
+        riesz_mean(below, hs[-1])
+    # h^2 = 1e300: only zeros below the threshold 1e-300, nothing to scale, riesz = N
+    zeros = Spectrum(np.array([0.0, 0.0, 1e-290]), 4.0, "exact-box")
+    assert riesz_mean(zeros, 1e150) == 2.0
+    tiny = Spectrum(np.array([0.0, 0.0, 5e-324]), 4.0, "exact-box")
+    assert riesz_mean(tiny, 1e150) == float(3 - Fraction(1e150 * 1e150) * Fraction(5e-324))
+    # a grid spanning 2^1300 in h^2: 2^K h^2 overflows at the first h, where
+    # the prefix holds only zeros and no product is taken
+    wide = Spectrum(np.array([0.0, 0.0, 1e199]), 1e201, "exact-box")
+    hs = [1e100, 1e-100]
+    records = sweep(square(1.0), wide, hs).records
+    assert [(r.n_below, r.riesz) for r in records] == _exact_riesz(wide.eigenvalues, hs)
+
+
+def test_riesz_huge_and_tiny_scales():
+    """Spectra near the ends of the float range (domains of size 1e-152 or
+    1e150) keep an exact Riesz sum; h^2 whose reciprocal overflows is refused."""
+    for scale in (2.0e303, 1e-300):
+        spec = box_spectrum((1.0, 1.0), 1e4)
+        spec = Spectrum(spec.eigenvalues * scale, spec.cutoff * scale, "exact-box")
+        hs = np.geomspace(0.3, 0.0101, 30) / math.sqrt(scale)
+        records = sweep(square(1.0), spec, hs).records
+        assert records[-1].n_below > 700
+        for r, (n, exact) in zip(records, _exact_riesz(spec.eigenvalues, hs)):
+            assert (r.n_below, r.riesz.hex()) == (n, exact.hex())
+    with pytest.raises(ConfigError, match="1/h\\^2 is not finite"):
+        riesz_mean(Spectrum(np.array([1.0]), math.inf, "exact-box"), 1e-160)

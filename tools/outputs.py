@@ -13,12 +13,24 @@ writes land there and no path in them depends on DIR. Next to them,
 Run it once per source tree, each into its own DIR, and compare with
 ``diff -rq DIR_A DIR_B``: every file named there is an output that
 differs. bench/ is only read.
+
+    python3 tools/outputs.py --compare BASE HEAD
+
+names each file that is only in one of the two directories or differs,
+and for a differing CSV or JSON file the cells or fields that differ, per
+column or field path, with the largest distance in units in the last place
+(ulps) between two numbers.
 """
 
 import argparse
+import csv
+import io
 import itertools
+import json
 import os
+import struct
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -26,11 +38,84 @@ JOBS = 30  # per workload
 SEED = 1
 
 
+def _ordinal(x: float) -> int:
+    """Integers in the order of the doubles, one apart for adjacent doubles."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def _cells(path: Path) -> dict:
+    """{(column or field path, row): value} of a CSV or JSON file."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        header, *rows = csv.reader(io.StringIO(text))
+        return {(name, r): value for r, row in enumerate(rows) for name, value in zip(header, row)}
+    cells = {}
+
+    def walk(node, key):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, f"{key}.{k}" if key else k)
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                walk(v, f"{key}[{i}]")
+        else:
+            cells[(key, 0)] = node
+
+    walk(json.loads(text), "")
+    return cells
+
+
+def _ulps(a, b):
+    """ulps between two numbers (CSV cells are text), or None if either is not one."""
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return None
+    return abs(_ordinal(x) - _ordinal(y)) if x == x and y == y else None
+
+
+def compare(base: Path, head: Path) -> list[str]:
+    """Report lines for every file that differs between two output trees."""
+    names = sorted({p.relative_to(root) for root in (base, head)
+                    for p in root.rglob("*") if p.is_file()})
+    lines = []
+    for name in names:
+        a, b = base / name, head / name
+        if not (a.exists() and b.exists()):
+            lines.append(f"{name}: only in {'base' if a.exists() else 'head'}")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            continue
+        if name.suffix not in (".csv", ".json"):
+            lines.append(f"{name}: differs")
+            continue
+        ca, cb = _cells(a), _cells(b)
+        stats = defaultdict(lambda: [0, 0])  # column -> [cells that differ, largest ulps]
+        for key in [*ca, *(k for k in cb if k not in ca)]:
+            if ca.get(key) != cb.get(key):
+                ulps = _ulps(ca.get(key), cb.get(key))
+                stat = stats[key[0]]
+                stat[0] += 1
+                stat[1] = max(stat[1], ulps if ulps is not None else float("inf"))
+        parts = [f"{col} {n} (max {u} ulp)" for col, (n, u) in stats.items()]
+        lines.append(f"{name}: {', '.join(parts) or 'same cells, other bytes'}")
+    lines.append(f"{len(lines)} of {len(names)} files differ")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", required=True, help="directory that holds the weylkit package")
-    parser.add_argument("--out", required=True, help="directory for the outputs (created)")
+    parser.add_argument("--src", help="directory that holds the weylkit package")
+    parser.add_argument("--out", help="directory for the outputs (created)")
+    parser.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"),
+                        help="report the outputs that differ between two --out directories")
     args = parser.parse_args()
+    if args.compare:
+        print("\n".join(compare(*map(Path, args.compare))))
+        return 0
+    if not (args.src and args.out):
+        parser.error("--src and --out are required unless --compare is given")
     out = Path(args.out).resolve()
     sys.path[:0] = [str(Path(args.src).resolve()), str(BENCH)]
     # BLAS/OpenMP thread caps must be in the environment before numpy loads
