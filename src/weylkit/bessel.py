@@ -7,8 +7,8 @@ three routes chosen per point:
     cancellation cannot eat the 1e-10 absolute-accuracy target;
   * upward three-term recurrence from J_0, J_1 (or J_{1/2}, J_{3/2} in the
     half-integer ladder) when x >= nu, the regime where that recurrence is
-    stable; J_0, J_1 themselves come from the large-argument (Hankel)
-    expansion, since the series covers every x <= 14;
+    stable; J_0, J_1 themselves come from one pass of the large-argument
+    (Hankel) expansion, since the series covers every x <= 14;
   * downward (Miller) recurrence with Neumann-series normalization when
     x < nu and the series is unsafe.
 
@@ -23,9 +23,12 @@ consecutive orders of about PASS_POINTS grid points each (one order's
 grid is never split): a scan for sign changes on a unit-step grid per
 order (the gap between consecutive zeros of any J_nu exceeds 3, so no
 zero can be skipped), then bisection plus safeguarded Newton refinement
-of every bracket of the pass at once, each with its own order. Consecutive
-orders are checked to interlace. Asymptotic spacing estimates are used
-only to size the scan window.
+of every bracket of the pass at once, each with its own order. Because a
+value does not depend on its batch, the refinement evaluates the points
+of several steps in one call (see `_refine`): at most 9 `_j` calls after
+the scan's one, each zero bitwise that of one step at a time.
+Consecutive orders are checked to interlace. Asymptotic spacing
+estimates are used only to size the scan window.
 """
 
 from __future__ import annotations
@@ -82,11 +85,13 @@ def _series(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hankel(nu: float, x: np.ndarray) -> np.ndarray:
-    """Large-argument expansion; adequate for nu in {0, 1}, x > 14. Each
-    point stops where its own terms start to grow or become negligible.
-    The upward route only reaches x > 14: below that the series is safe for
-    every order."""
+def _hankel(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Large-argument expansion with one order per point, adequate for nu
+    in {0, 1} and x > 14: `_upward` sums J_0 and J_1 in one pass. Each
+    point stops where its own terms start to grow or become negligible,
+    and its mu = 4 nu^2 enters only its own terms, so a value is bitwise
+    that of a pass over its point alone. The upward route only reaches
+    x > 14: below that the series is safe for every order."""
     mu = 4.0 * nu * nu
     eight_x = 8.0 * x
     c = np.ones_like(x)
@@ -106,7 +111,8 @@ def _hankel(nu: float, x: np.ndarray) -> np.ndarray:
             if n_done == pos.size:
                 break
             keep = np.flatnonzero(~done)
-            pos, p, q, c, mag, eight_x = (a[keep] for a in (pos, p, q, c, mag, eight_x))
+            pos, p, q, c, mag, eight_x, mu = (
+                a[keep] for a in (pos, p, q, c, mag, eight_x, mu))
         prev = mag
         acc = q if m % 2 else p
         if (m // 2) % 2:
@@ -155,7 +161,8 @@ def _upward(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     whole = np.floor(nu) == nu
     if whole.any():
         xs = x[whole]
-        out[whole] = _climb(nu[whole], xs, _hankel(0.0, xs), _hankel(1.0, xs), 1.0)
+        j01 = _hankel(np.repeat([0.0, 1.0], xs.size), np.concatenate([xs, xs]))
+        out[whole] = _climb(nu[whole], xs, j01[: xs.size], j01[xs.size:], 1.0)
     half = ~whole
     if half.any():
         xs = x[half]
@@ -251,47 +258,76 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _derivative(nu: np.ndarray, z: np.ndarray, jz: np.ndarray) -> np.ndarray:
-    """J'_nu = J_{nu-1} - nu/z J_nu per point; J'_0 = -J_1 and J_{-1/2} is
+def _value_and_slope(nu: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_nu(z), J'_nu(z)) per point from one `_j` call on J_nu and J_{nu-1}
+    together: J'_nu = J_{nu-1} - nu/z J_nu, J'_0 = -J_1, and J_{-1/2} is
     taken in closed form."""
-    jm1 = np.empty_like(z)
+    n = z.size
     half = nu == 0.5
+    rest = np.flatnonzero(~half)
+    nr = nu[rest]
+    both = _j(np.concatenate([nu, np.where(nr == 0, 1.0, nr - 1.0)]),
+              np.concatenate([z, z[rest]]))
+    jz = both[:n]
+    jm1 = np.empty_like(z)
+    jm1[rest] = both[n:]
     if half.any():
         zh = z[half]
         jm1[half] = np.sqrt(2.0 / (math.pi * zh)) * np.cos(zh)
-    rest = ~half
-    if rest.any():
-        nr = nu[rest]
-        jm1[rest] = _j(np.where(nr == 0, 1.0, nr - 1.0), z[rest])
     fp = jm1 - nu / z * jz
     zero = nu == 0
     fp[zero] = -jm1[zero]
-    return fp
+    return jz, fp
 
 
-def _refine(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisection, then safeguarded Newton, on every bracket at once; nu
-    holds each bracket's order."""
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = _j(nu, lo)
-    bad = flo == 0.0
-    if np.any(bad):
+def _halve(same, mid, fm, lo, flo, hi):
+    """One bisection step: keep the half whose ends differ in sign."""
+    return np.where(same, mid, lo), np.where(same, fm, flo), np.where(same, hi, mid)
+
+
+def _refine(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
+    """Ten bisections, then four safeguarded Newton steps, on every bracket
+    at once; nu holds each bracket's order and flo = J_nu(lo), the scan's
+    value at the bracket's left end.
+
+    A `_j` value does not depend on its batch, so the points of several
+    steps share one call while every iterate keeps the bytes of one step
+    at a time:
+      * only a zero flo is nudged left and evaluated again;
+      * a call evaluates mid = 0.5(lo + hi) and both candidates for the
+        next midpoint, 0.5(lo + mid) and 0.5(mid + hi): whichever half the
+        first sign test keeps, its midpoint is one of these two floats, so
+        both sign tests replay in order (5 calls for 10 levels);
+      * a Newton step takes J_nu and J_{nu-1} from one call;
+      * a bracket whose step left z unchanged drops out, because each
+        later step would recompute the same z from the same inputs.
+    That is at most 9 `_j` calls, 10 if a scan value was zero.
+    """
+    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
+    bad = np.flatnonzero(flo == 0.0)
+    if bad.size:
         lo[bad] -= 1e-9
-        flo = _j(nu, lo)
-    for _ in range(10):
+        flo[bad] = _j(nu[bad], lo[bad])
+    n = lo.size
+    nu3 = np.tile(nu, 3)
+    for _ in range(5):
         mid = 0.5 * (lo + hi)
-        fm = _j(nu, mid)
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
+        left, right = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        f = _j(nu3, np.concatenate([mid, left, right]))
+        same = np.sign(f[:n]) == np.sign(flo)
+        lo, flo, hi = _halve(same, mid, f[:n], lo, flo, hi)
+        mid, fm = np.where(same, right, left), np.where(same, f[2 * n:], f[n: 2 * n])
+        lo, flo, hi = _halve(np.sign(fm) == np.sign(flo), mid, fm, lo, flo, hi)
     z = 0.5 * (lo + hi)
+    act = np.arange(n)  # the brackets whose last Newton step moved z
     for _ in range(4):
-        f = _j(nu, z)
-        fp = _derivative(nu, z, f)
+        za = z[act]
+        f, fp = _value_and_slope(nu[act], za)
         step = np.where(fp != 0.0, f / np.where(fp != 0.0, fp, 1.0), 0.0)
-        z = np.clip(z - step, lo, hi)
+        z[act] = zn = np.clip(za - step, lo[act], hi[act])
+        act = act[zn != za]
+        if not act.size:
+            break
     return z
 
 
@@ -323,7 +359,7 @@ def _zeros_pass(orders, x_max: float) -> list[np.ndarray]:
         flip = (s[:-1] * s[1:] < 0) | (vals[:-1] == 0) | (vals[1:] == 0)
         flip[ends[:-1] - 1] = False  # the pairs that straddle two orders
         idx = np.flatnonzero(flip)
-        zs = _refine(nu[idx], grid[idx], grid[idx + 1])
+        zs = _refine(nu[idx], grid[idx], grid[idx + 1], vals[idx])
         counts = np.bincount(np.searchsorted(ends, idx, "right"), minlength=len(live))
         for i, z in zip(live, np.split(zs, np.cumsum(counts)[:-1])):
             z = np.unique(z)

@@ -349,14 +349,28 @@ def riesz_from_counting(spectrum: Spectrum, h: float) -> float:
     Independent route used to verify riesz_mean: the integral of the step
     function mu -> #{lambda < mu} over (0, h^-2) is summed over the sorted
     partition. Each cell width and each product with its count round once,
-    fsum and the final product once more, and 1/fl(h^2) rounds, so while
-    N h^-2 stays below the overflow threshold the value is within
-    2^-50 (|riesz| + N) of riesz_mean's.
+    fsum and the final product once more, and 1/fl(h^2) rounds, so the
+    value is within 2^-50 (|riesz| + N) of riesz_mean's. Only where a
+    product or the sum would pass the float range (N h^-2 near 2^1024) are
+    the counts scaled by a power of two 2^-k and the result by 2^k, which
+    moves no rounding above the subnormal range; every value that fits is
+    computed unscaled.
     """
     lam = _below(spectrum, h)
-    breaks = np.concatenate([[0.0], lam, [1.0 / (h * h)]])
+    hh = h * h
+    breaks = np.concatenate([[0.0], lam, [1.0 / hh]])
     counts = np.arange(len(breaks) - 1)  # value of the step function per cell
-    return h * h * math.fsum(counts * np.diff(breaks))
+    widths = np.diff(breaks)
+    with np.errstate(over="ignore"):
+        terms = counts * widths
+    if np.isfinite(terms).all():
+        try:
+            return hh * math.fsum(terms)
+        except OverflowError:
+            pass
+    # each partial sum is below N h^-2 < 2^(eN + eH); scale it below 2^1022
+    k = math.frexp(float(counts[-1]))[1] + math.frexp(breaks[-1])[1] - 1022
+    return math.ldexp(hh * math.fsum(np.ldexp(counts, -k) * widths), k)
 
 
 def sweep_to_csv(result: SweepResult) -> str:

@@ -36,12 +36,15 @@ from scipy.integrate import quad
 
 from .constants import unit_ball_volume
 from .domains import Box, Disk, _as_batch
-from .errors import ConfigError, DomainError, InvariantViolation, NumericsError
+from .errors import ConfigError, DomainError, InvariantViolation, NumericsError, ResourceError
 from .output import csv_text, write
 
 FD_STEP_FACTOR = 1e-6  # symmetric finite-difference step, as a multiple of l0
 MAX_DEPTH = 4  # cell refinements in normalization_check
 SEED_CELL_FACTOR = 1.0 / 6.0  # normalization_check seed cell size, as a multiple of l(x)
+# normalization_check seed points, (2n)^d cells x 5^d: above 28^3 x 5^3, the
+# largest 3-D seed (about 210 MB), below 16^4 x 5^4, the smallest 4-D one
+SEED_POINT_BUDGET = 2**22
 SCALE_STEP_FACTOR = 1.0 / 32.0  # scale_integrals midpoint step, as a multiple of l0
 
 
@@ -248,20 +251,24 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
     there, and cells are refined where a 3- vs 5-point Gauss comparison
     flags error. Raises NumericsError if the quadrature cannot reach
     `tol`, and InvariantViolation if the converged value is not within
-    `tol` of 1.
+    `tol` of 1. Raises ResourceError, before it seeds anything, if the
+    seed holds more than SEED_POINT_BUDGET points: every d >= 4 does.
     """
     if tol <= 0:
         raise ConfigError(f"tol must be positive, got {tol}")
     x = np.asarray(x, dtype=float)
     d = len(x)
-    integrand = _normalization_integrand(sf, x)
-    lo_rule = _tensor_rule(d, 3)
-    hi_rule = _tensor_rule(d, 5)
-
     lx = float(sf.scale(x))
     radius = min(0.5, 2.0 * lx)
     h0 = SEED_CELL_FACTOR * lx
     n = int(math.ceil(radius / h0)) + 1
+    if (2 * n) ** d * 5**d > SEED_POINT_BUDGET:
+        raise ResourceError(
+            f"normalization seed of {2 * n}^{d} cells x 5^{d} points is over the budget "
+            f"{SEED_POINT_BUDGET}")
+    integrand = _normalization_integrand(sf, x)
+    lo_rule = _tensor_rule(d, 3)
+    hi_rule = _tensor_rule(d, 5)
     offs = (np.arange(-n, n) + 0.5) * h0
     grids = np.meshgrid(*([offs] * d), indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=1) + x[None, :]

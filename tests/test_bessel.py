@@ -354,6 +354,56 @@ def test_bessel_spectra_match_reference(d, build):
         assert got.tobytes() == _ref_bessel_spectrum(d, radius, cutoff).tobytes()
 
 
+@pytest.mark.parametrize("pass_points", [bessel.PASS_POINTS, 1])
+def test_benchmark_scale_zeros_match_reference(monkeypatch, pass_points):
+    """The batched refinement gives the step-by-step reference's bytes on
+    the disks and balls the benchmark builds (orders up to 89) and on
+    one-order zeros up to 1000, as the half-space horizons ask for."""
+    monkeypatch.setattr(bessel, "PASS_POINTS", pass_points)
+    for x_max in (40.0, 65.0, 90.0):
+        got = disk_spectrum(1.0, x_max * x_max).eigenvalues
+        assert got.tobytes() == _ref_bessel_spectrum(2, 1.0, x_max * x_max).tobytes(), x_max
+    got = ball_spectrum(1.2, 2500.0).eigenvalues
+    assert got.tobytes() == _ref_bessel_spectrum(3, 1.2, 2500.0).tobytes()
+    for nu in (0.0, 0.5, 2.0, 2.5, 3.0, 3.5):
+        assert zeros_below(nu, 1000.0).tobytes() == _ref_zeros_below(nu, 1000.0).tobytes(), nu
+
+
+@pytest.mark.parametrize("orders, x_max", [([2.0], 1000.0), (list(range(91)), 90.0),
+                                           ([0.0, 0.5, 1.5], 200.0)])
+def test_pass_makes_at_most_ten_calls(monkeypatch, orders, x_max):
+    """One scan call, then 5 bisection calls (two levels each) and at most
+    4 Newton calls, each on J_nu and J_{nu-1} together."""
+    calls = []
+    j = bessel._j
+
+    def spy(nu, x):
+        calls.append(x.size)
+        return j(nu, x)
+
+    monkeypatch.setattr(bessel, "_j", spy)
+    zeros = bessel._zeros_pass([float(nu) for nu in orders], x_max)
+    brackets = calls[1] // 3  # also those just above x_max
+    assert brackets >= sum(z.size for z in zeros) > 0
+    assert 6 < len(calls) <= 1 + 5 + 4
+    assert calls[1:6] == [3 * brackets] * 5  # no call at the left ends
+    assert calls[6] <= 2 * brackets
+
+
+def test_zero_scan_value_is_nudged():
+    """A bracket whose scan value at lo is exactly 0 moves lo left by 1e-9
+    and evaluates J there, as the reference does; the others reuse theirs."""
+    nu, lo, hi = np.array([2.0, 2.0, 0.5]), np.array([5.0, 8.0, 3.0]), np.array([6.0, 9.0, 4.0])
+    flo = _j(nu, lo)
+    flo[1] = 0.0
+    got = bessel._refine(nu, lo, hi, flo)
+    nudged = lo.copy()
+    nudged[1] -= 1e-9
+    for k in range(3):
+        want = _ref_refine(nu[k], nudged[k: k + 1], hi[k: k + 1])
+        assert got[k: k + 1].tobytes() == want.tobytes(), k
+
+
 def _ref_points(nu, xs):
     """The reference called on each point alone."""
     return np.array([_ref_bessel_j(nu, v) for v in xs])
@@ -454,8 +504,8 @@ def test_interlacing_certificate(monkeypatch, pass_points):
         assert np.all(a[: b.size] < b) and np.all(b[: a.size - 1] < a[1:])
     refine = bessel._refine
 
-    def shifted(nu, lo, hi):
-        z = refine(nu, lo, hi)
+    def shifted(nu, lo, hi, flo):
+        z = refine(nu, lo, hi, flo)
         first = np.flatnonzero(nu == 1.0)
         if first.size:  # j_{1,1} = 3.83 moves past j_{0,2} = 5.52
             z[first[0]] += 3.5

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit import cli, halfspace
+from weylkit import cli, halfspace, localization
 from weylkit.cli import main, parse_domain, parse_h_grid
 from weylkit.domains import Box, Disk
 from weylkit.errors import ConfigError
@@ -224,6 +224,37 @@ def test_localize_grid_budget_edge(tmp_path, monkeypatch, capsys):
     assert main([*argv, "--grid", "3"]) == 0
     assert main([*argv, "--grid", "4"]) == 4
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ResourceError"
+
+
+@pytest.mark.parametrize("sides, cells", [(4, 26), (70, 26)])
+def test_normalization_seed_budget(tmp_path, monkeypatch, capsys, sides, cells):
+    """The normalization seed is checked before its cells or rules are
+    made: exit 4 with a JSON error (70 sides was a meshgrid ValueError
+    traceback; 4 sides asked for ~2.9e8 points)."""
+    def unused(*args):
+        raise AssertionError("seeded past the budget")
+
+    monkeypatch.setattr(localization, "_tensor_rule", unused)
+    monkeypatch.setattr(localization, "_normalization_integrand", unused)
+    argv = ["localize", "--domain", _unit_box(sides), "--l0", "0.1", "--grid", "0",
+            "--check-normalization", "1", "--out", str(tmp_path / "d.csv")]
+    assert main(argv) == 4
+    message = (f"normalization seed of {cells}^{sides} cells x 5^{sides} points is over the "
+               "budget 4194304")
+    assert capsys.readouterr().out == json.dumps(
+        {"error": {"type": "ResourceError", "message": message, "exit_code": 4}}) + "\n"
+
+
+def test_normalization_seed_budget_edge(tmp_path, monkeypatch, capsys):
+    """The drawn point of the disk seeds 28^2 cells x 5^2 points: at the
+    budget it runs."""
+    argv = ["localize", "--domain", "disk:1", "--l0", "0.1", "--grid", "0",
+            "--check-normalization", "1", "--out", str(tmp_path / "d.csv")]
+    monkeypatch.setattr(localization, "SEED_POINT_BUDGET", 28**2 * 5**2)
+    assert main(argv) == 0
+    monkeypatch.setattr(localization, "SEED_POINT_BUDGET", 28**2 * 5**2 - 1)
+    assert main(argv) == 4
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"]["type"] == "ResourceError"
 
 
 def test_empty_out_path(tmp_path, monkeypatch, capsys):

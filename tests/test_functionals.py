@@ -460,14 +460,14 @@ def _spectrum_and_grid(draw):
 @given(_spectrum_and_grid())
 def test_sweep_riesz_is_exact(case):
     """sweep is bitwise the exact oracle, and the counting-function route
-    agrees within its stated error wherever its sum N h^-2 stays finite."""
+    agrees within its stated error, also where its sum N h^-2 passes the
+    float range."""
     spec, hs = case
     records = sweep(square(1.0), spec, hs).records
     for r, (n, exact) in zip(records, _exact_riesz(spec.eigenvalues, hs), strict=True):
         assert (r.n_below, r.riesz.hex()) == (n, exact.hex())
-        if n / (r.h * r.h) < 1e300:
-            other = riesz_from_counting(spec, r.h)
-            assert abs(other - r.riesz) <= 2.0**-50 * (abs(r.riesz) + n)
+        other = riesz_from_counting(spec, r.h)
+        assert abs(other - r.riesz) <= 2.0**-50 * (abs(r.riesz) + n)
 
 
 def test_riesz_power_of_two_scaling_is_bitwise(square_50):
@@ -601,3 +601,23 @@ def test_riesz_huge_and_tiny_scales():
             assert (r.n_below, r.riesz.hex()) == (n, exact.hex())
     with pytest.raises(ConfigError, match="1/h\\^2 is not finite"):
         riesz_mean(Spectrum(np.array([1.0]), math.inf, "exact-box"), 1e-160)
+
+
+def test_riesz_from_counting_past_float_range(square_50):
+    """Where N h^-2 passes the float range the counting route scales by a
+    power of two (it was an OverflowError in fsum, or inf); where it fits,
+    it is bitwise the unscaled sum."""
+    rng = np.random.default_rng(3)
+    lam = np.sort(rng.uniform(0.0, 1e305, 65_538))
+    spec = Spectrum(lam, 1.7e308, "exact-box")
+    for h in (1.0 / math.sqrt(lam[-7]), 1.0 / math.sqrt(1.5e308), 3.2e-153):
+        n = int(np.searchsorted(lam, 1.0 / (h * h)))
+        assert math.log2(n) - 2.0 * math.log2(h) > 1024.0  # N h^-2 is past the range
+        got = riesz_from_counting(spec, h)
+        assert math.isfinite(got)
+        assert abs(got - riesz_mean(spec, h)) <= 2.0**-50 * (abs(got) + n)
+    for h in np.geomspace(0.3, H50, 7):
+        lam = square_50.eigenvalues[square_50.eigenvalues < 1.0 / (h * h)]
+        breaks = np.concatenate([[0.0], lam, [1.0 / (h * h)]])
+        plain = h * h * math.fsum(np.arange(lam.size + 1) * np.diff(breaks))
+        assert riesz_from_counting(square_50, h) == plain
