@@ -45,7 +45,6 @@ from .functionals import (
     weyl_prediction,
 )
 from .halfspace import (
-    HalfspaceDensity,
     absolute_moment,
     boundary_coefficient,
     boundary_partial_sums,
@@ -58,7 +57,6 @@ from .localization import (
     BoundaryChart,
     PartitionFunction,
     ScaleFunction,
-    distance_to_complement,
     dump_diagnostics,
     holder_chart,
     jacobian_factor,

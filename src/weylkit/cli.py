@@ -126,10 +126,7 @@ def cmd_localize(args) -> int:
     g, d = args.grid, domain.dim
     if g**d > _GRID_BUDGET:
         raise ResourceError(f"localize grid of {g}^{d} points is over the budget {_GRID_BUDGET}")
-    # the points of meshgrid(..., indexing="ij") in C order, for any number of axes
-    pts = np.empty((g**d, d))
-    for i in range(d):
-        pts[:, i] = np.tile(np.repeat(np.linspace(lo[i], hi[i], g), g ** (d - 1 - i)), g**i)
+    pts = domains.lattice([np.linspace(lo[i], hi[i], g) for i in range(d)])
     dump_diagnostics(sf, pts, args.out)
     if args.check_normalization:
         rng = np.random.default_rng(MC_SEED)

@@ -27,6 +27,16 @@ def _as_batch(u) -> tuple[np.ndarray, bool]:
     return u, False
 
 
+def lattice(axes) -> np.ndarray:
+    """The points of meshgrid(*axes, indexing="ij") as rows in C order, in the
+    axes' dtype; unlike meshgrid, for any number of axes."""
+    sizes = [len(a) for a in axes]
+    pts = np.empty((math.prod(sizes), len(axes)), dtype=np.result_type(*axes))
+    for i, a in enumerate(axes):
+        pts[:, i] = np.tile(np.repeat(a, math.prod(sizes[i + 1:])), math.prod(sizes[:i]))
+    return pts
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box (0, a_1) x ... x (0, a_d)."""
@@ -222,14 +232,20 @@ class Polygon:
     dim = 2
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        try:
+            v = np.asarray(vertices, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"polygon vertices do not convert to float64: {exc}") from None
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ConfigError("polygon needs an (n, 2) vertex array with n >= 3")
         v = v[np.any(v != np.roll(v, -1, axis=0), axis=1)]  # drop zero-length edges
         self.vertices = v
         x, y = v[:, 0], v[:, 1]
         xn, yn = np.roll(x, -1), np.roll(y, -1)
-        self._area2 = float(np.sum(x * yn - xn * y))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite area is refused
+            self._area2 = float(np.sum(x * yn - xn * y))
+        if not abs(self._area2) < math.inf:  # a NaN or infinite vertex, or an overflow
+            raise ConfigError("polygon vertices and the area they enclose must be finite")
         if abs(self._area2) < 1e-14:
             raise ConfigError("degenerate polygon (zero area)")
 

@@ -31,15 +31,7 @@ class ResourceError(WeylkitError):
 
 
 class ConvergenceError(WeylkitError):
-    """A numerical procedure did not reach its target tolerance (exit code 4).
-
-    Carries the achieved estimate when one is available.
-    """
-
-    def __init__(self, message, achieved=None, estimate=None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.estimate = estimate
+    """A numerical procedure did not reach its target tolerance (exit code 4)."""
 
 
 class NumericsError(ConvergenceError):

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh, splu
 
-from .domains import Polygon
+from .domains import Polygon, lattice
 from .errors import ConfigError, NumericsError, ResourceError
 from .spectra import Spectrum
 
@@ -32,6 +32,7 @@ MAX_NUDGES = 16  # the last nudge is 2**15 * SHIFT_STEP = 3.3e-6 * ||A||
 MAX_GROWTH = 1e8  # breakdown when || |L||U| ||_inf > MAX_GROWTH * ||A - shift*I||_inf
 MAX_SLICE = 64  # eigenvalues per spectrum slice
 DEFAULT_EIG_BUDGET = 20000  # max eigenvalues per extraction; read at call time
+LATTICE_BUDGET = 2**20  # points in assemble's lattice box; its peak is about 0.3 GB there
 _DENSE_CUTOVER = 220  # below this dimension just use a dense solver
 _DENSE_FALLBACK_MAX = 2000  # largest dimension a Lanczos slice may redo densely
 # irrational-ish split ratio keeps slice boundaries off the exact
@@ -43,7 +44,6 @@ _SPLIT_RATIO = 0.5000018437180104
 class GridOperator:
     """Sparse 5-point operator for a polygon at a fixed grid step."""
 
-    polygon: Polygon
     step: float
     nodes: np.ndarray  # (n, 2) lattice indices, lexicographic in (y, x)
     matrix: sparse.csr_matrix
@@ -59,20 +59,20 @@ class GridOperator:
 
 def assemble(polygon: Polygon, step: float) -> GridOperator:
     """Build the operator; deterministic node order, Dirichlet truncation."""
-    if not step > 0:
-        raise ConfigError(f"grid step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise ConfigError(f"grid step must be positive and finite, got {step}")
     v = polygon.vertices
-    i_lo = int(math.floor(v[:, 0].min() / step)) - 1
-    i_hi = int(math.ceil(v[:, 0].max() / step)) + 1
-    j_lo = int(math.floor(v[:, 1].min() / step)) - 1
-    j_hi = int(math.ceil(v[:, 1].max() / step)) + 1
-    ii, jj = np.meshgrid(
-        np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1), indexing="ij"
-    )
-    lattice = np.stack([ii.ravel(), jj.ravel()], axis=1)
-    pts = lattice * step
-    inside = polygon.contains(pts)
-    nodes = lattice[inside]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        lo = np.floor(v.min(axis=0) / step) - 1  # lattice box corners, in floats
+        hi = np.ceil(v.max(axis=0) / step) + 1
+        size = np.prod(hi - lo + 1)
+    if not size <= LATTICE_BUDGET:
+        raise ResourceError(
+            f"step {step!r} makes a lattice box of {size:.3g} points, over the budget "
+            f"{LATTICE_BUDGET}")
+    (i_lo, j_lo), (i_hi, j_hi) = lo.astype(int), hi.astype(int)
+    box = lattice([np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1)])
+    nodes = box[polygon.contains(box * step)]
     if len(nodes) == 0:
         raise ConfigError(f"step {step} leaves no interior nodes in the polygon")
     order = np.lexsort((nodes[:, 0], nodes[:, 1]))  # by y, then x
@@ -94,7 +94,7 @@ def assemble(polygon: Polygon, step: float) -> GridOperator:
     vals = np.full(len(rows), -inv)
     vals[:n] = 4.0 * inv
     mat = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return GridOperator(polygon=polygon, step=float(step), nodes=nodes, matrix=mat)
+    return GridOperator(step=float(step), nodes=nodes, matrix=mat)
 
 
 def _sparse_inertia(matrix: sparse.csr_matrix, shift: float, norm: float) -> int:

@@ -258,10 +258,6 @@ class SweepResult:
     domain: object
     records: list[SweepRecord]
 
-    @property
-    def h(self) -> np.ndarray:
-        return np.array([r.h for r in self.records])
-
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
 
@@ -308,7 +304,7 @@ def fit_second_term(sweep_result: SweepResult, domain) -> FitReport:
     recs = sweep_result.records
     if len(recs) < 5:
         raise FitError(f"need >= 5 sweep records, got {len(recs)}")
-    hs = sweep_result.h
+    hs = sweep_result.column("h")
     if hs.max() / hs.min() < 10.0:
         raise FitError(
             f"h range [{hs.min():.4g}, {hs.max():.4g}] spans less than one decade"

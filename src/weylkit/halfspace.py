@@ -26,7 +26,6 @@ convergence acceleration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -104,9 +103,7 @@ def cosine_integral(d: int, t):
         if abs(via_quad - vb) > DUAL_EVAL_TOL:
             raise NumericsError(
                 f"cosine integral routes disagree at d={d}, t={ti}: "
-                f"quadrature {via_quad!r} vs Bessel {vb!r}",
-                achieved=abs(via_quad - vb),
-            )
+                f"quadrature {via_quad!r} vs Bessel {vb!r}")
     return float(via_bessel[0]) if ts.ndim == 0 else via_bessel.reshape(ts.shape)
 
 
@@ -124,21 +121,6 @@ def density_profile(d: int, t):
     off_wall = ts != 0.0
     rho[off_wall] = constants(d).L_d - cosine_integral(d, ts[off_wall]) / TWO_PI**d
     return float(rho) if ts.ndim == 0 else rho
-
-
-@dataclass(frozen=True)
-class HalfspaceDensity:
-    """The boundary-layer density of a fixed dimension: bulk value plus
-    the profile t -> rho(t) in the scaled wall distance t = x_d / h."""
-
-    d: int
-    bulk: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "bulk", constants(_check_dim(self.d)).L_d)
-
-    def profile(self, t: float) -> float:
-        return density_profile(self.d, t)
 
 
 def _segment_bounds(d: int, t_max: float) -> np.ndarray:
@@ -189,9 +171,7 @@ def boundary_coefficient(d: int, t_max: float, *, tol: float = 1e-4) -> float:
     if partial.size < 6:
         raise ConvergenceError(
             f"only {partial.size} oscillation segments below t_max={t_max}; "
-            "horizon too small to accelerate",
-            achieved=float(partial[-1]) if partial.size else None,
-        )
+            "horizon too small to accelerate")
     tail = partial[-min(60, partial.size) :]
     prev_final = tail[-1]
     est_err = math.inf
@@ -200,15 +180,11 @@ def boundary_coefficient(d: int, t_max: float, *, tol: float = 1e-4) -> float:
         row = 0.5 * (row[:-1] + row[1:])
         est_err = abs(row[-1] - prev_final)
         prev_final = row[-1]
-    value = float(prev_final)
     if est_err > tol:
         raise ConvergenceError(
             f"boundary coefficient only converged to {est_err:.3g} > tol {tol:g} "
-            f"within t_max={t_max}",
-            achieved=est_err,
-            estimate=value,
-        )
-    return value
+            f"within t_max={t_max}")
+    return float(prev_final)
 
 
 def absolute_moment(d: int, t_max: float) -> float:

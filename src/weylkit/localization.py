@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .constants import unit_ball_volume
-from .domains import Box, Disk, _as_batch
+from .domains import Box, Disk, _as_batch, lattice
 from .errors import ConfigError, DomainError, InvariantViolation, NumericsError, ResourceError
 from .output import csv_text, write
 
@@ -62,9 +62,6 @@ class ScaleFunction:
     def __post_init__(self):
         if not 0.0 < self.l0 <= 1.0:
             raise ConfigError(f"l0 must lie in (0, 1], got {self.l0}")
-
-    def distance(self, u):
-        return self.domain.distance_to_complement(u)
 
     def scale(self, u):
         dist = np.asarray(self.domain.distance_to_complement(u))
@@ -107,11 +104,6 @@ class ScaleFunction:
         return l, grad, flagged
 
 
-def distance_to_complement(domain, u):
-    """d(u) = inf{|x - u| : x outside the domain}; 0 outside."""
-    return domain.distance_to_complement(u)
-
-
 def _frame(sf: ScaleFunction, u: np.ndarray, x: np.ndarray):
     """(l, grad l, z, |z|^2, W) at center u for a batch x, from one query at u:
     z = (x - u)/l and W = 1 + (x - u) . grad l / l."""
@@ -143,21 +135,19 @@ def _bump_constant(d: int) -> float:
     return 1.0 / math.sqrt(d * unit_ball_volume(d) * val)
 
 
+def _bump(r2: np.ndarray, c: float, k: float) -> np.ndarray:
+    """c exp(-k/(1 - r2)) where r2 < 1, and 0 elsewhere."""
+    out = np.zeros_like(r2)
+    inside = r2 < 1.0
+    out[inside] = c * np.exp(-k / (1.0 - r2[inside]))
+    return out
+
+
 def mother_bump(d: int, z) -> np.ndarray:
     """Smooth bump with support {|z| < 1} and unit L2 norm."""
     z, single = _as_batch(z)
-    r2 = np.sum(z * z, axis=1)
-    out = np.zeros(len(z))
-    inside = r2 < 1.0
-    out[inside] = _bump_constant(d) * np.exp(-1.0 / (1.0 - r2[inside]))
+    out = _bump(np.sum(z * z, axis=1), _bump_constant(d), 1.0)
     return out[0] if single else out
-
-
-def _bump_sq(d: int, r2: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(r2)
-    inside = r2 < 1.0
-    out[inside] = _bump_constant(d) ** 2 * np.exp(-2.0 / (1.0 - r2[inside]))
-    return out
 
 
 @dataclass(frozen=True)
@@ -177,11 +167,9 @@ def partition_eval(pf: PartitionFunction, x) -> float | np.ndarray:
     u = np.asarray(pf.center, dtype=float)
     x, single = _as_batch(x)
     _, _, _, r2, w = _frame(pf.sf, u, x)
-    out = np.zeros(len(x))
+    out = _bump(r2, _bump_constant(len(u)), 1.0)
     inside = r2 < 1.0
-    out[inside] = (
-        _bump_constant(len(u)) * np.exp(-1.0 / (1.0 - r2[inside])) * np.sqrt(w[inside])
-    )
+    out[inside] *= np.sqrt(w[inside])
     return float(out[0]) if single else out
 
 
@@ -195,7 +183,7 @@ def partition_grad(pf: PartitionFunction, x) -> np.ndarray:
     if inside.any():
         zi = z[inside]
         r2i = r2[inside]
-        phi = _bump_constant(len(u)) * np.exp(-1.0 / (1.0 - r2i))
+        phi = _bump(r2i, _bump_constant(len(u)), 1.0)
         dphi = phi[:, None] * (-2.0 * zi / (1.0 - r2i[:, None]) ** 2)
         wi = w[inside]
         out[inside] = (
@@ -212,11 +200,7 @@ def partition_grad(pf: PartitionFunction, x) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _tensor_rule(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(k)
-    grids = np.meshgrid(*([nodes] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([weights] * d), indexing="ij")
-    w = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    return pts, w
+    return lattice([nodes] * d), np.prod(lattice([weights] * d), axis=1)
 
 
 def _normalization_integrand(sf: ScaleFunction, x: np.ndarray):
@@ -227,7 +211,7 @@ def _normalization_integrand(sf: ScaleFunction, x: np.ndarray):
         diff = x[None, :] - u
         z2 = np.sum(diff * diff, axis=1) / (l * l)
         w = 1.0 + np.sum(diff * grad_l, axis=1) / l
-        return _bump_sq(d, z2) * w * l**-d
+        return _bump(z2, _bump_constant(d) ** 2, 2.0) * w * l**-d
 
     return integrand
 
@@ -269,9 +253,7 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
     integrand = _normalization_integrand(sf, x)
     lo_rule = _tensor_rule(d, 3)
     hi_rule = _tensor_rule(d, 5)
-    offs = (np.arange(-n, n) + 0.5) * h0
-    grids = np.meshgrid(*([offs] * d), indexing="ij")
-    centers = np.stack([g.ravel() for g in grids], axis=1) + x[None, :]
+    centers = lattice([(np.arange(-n, n) + 0.5) * h0] * d) + x[None, :]
     halfs = np.full(len(centers), h0 / 2.0)
     keep = np.linalg.norm(centers - x[None, :], axis=1) <= radius + halfs * math.sqrt(d)
     centers, halfs = centers[keep], halfs[keep]
@@ -304,10 +286,7 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
         halfs = np.repeat(h / 2.0, 2**d)
     if err > tol:
         raise NumericsError(
-            f"normalization quadrature error estimate {err:.3g} exceeds tol {tol:g}",
-            achieved=err,
-            estimate=total,
-        )
+            f"normalization quadrature error estimate {err:.3g} exceeds tol {tol:g}")
     if abs(total - 1.0) >= tol:
         raise InvariantViolation(
             f"partition normalization at x={x.tolist()} is {total!r}, off 1 by "
@@ -342,9 +321,7 @@ def scale_integrals(sf: ScaleFunction, a: float) -> tuple[float, float]:
     lo, hi = bounding_box(dom, 2.0 * sf.l0)
     d = dom.dim
     step = sf.l0 * SCALE_STEP_FACTOR
-    axes = [np.arange(lo[i] + step / 2.0, hi[i], step) for i in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    u = np.stack([g.ravel() for g in grids], axis=1)
+    u = lattice([np.arange(lo[i] + step / 2.0, hi[i], step) for i in range(d)])
     l = np.asarray(sf.scale(u))
     bdist = np.asarray(dom.distance_to_boundary(u))
     in_u2 = bdist <= l
@@ -489,11 +466,7 @@ def bump_weight(radius: float):
 
     def phi2(xp):
         xp = np.atleast_2d(xp)
-        r2 = np.sum(xp * xp, axis=1) / radius**2
-        out = np.zeros(len(xp))
-        inside = r2 < 1.0
-        out[inside] = np.exp(-2.0 / (1.0 - r2[inside]))
-        return out
+        return _bump(np.sum(xp * xp, axis=1) / radius**2, 1.0, 2.0)
 
     return phi2
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit import cli, halfspace, localization
+from weylkit import cli, fdlap, halfspace, localization
 from weylkit.cli import main, parse_domain, parse_h_grid
 from weylkit.domains import Box, Disk
 from weylkit.errors import ConfigError
@@ -366,6 +366,150 @@ def test_cli_fuzz_exits_with_json_error(argv):
         lines = stdout.getvalue().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["exit_code"] == code
+
+
+_POLYGON_FILES = {  # --polygon file contents, valid first
+    "square": '{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}',
+    "lshape": '{"vertices": [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]]}',
+    "triangle": '{"vertices": [[0, 0], [1.5, 0], [0.2, 1.1]]}',
+    "nan": '{"vertices": [[0, 0], [1, 0], [1, NaN], [0, 1]]}',
+    "huge": '{"vertices": [[0, 0], [1e308, 0], [1e308, 1e308], [0, 1e308]]}',
+    "big": '{"vertices": [[0, 0], [1e150, 0], [1e150, 1e150], [0, 1e150]]}',
+    "ragged": '{"vertices": [[0, 0], [1, 0, 5], [1, 1], [0, 1]]}',
+    "strings": '{"vertices": [["a", "b"], ["c", "d"], ["e", "f"]]}',
+    "nested": '{"vertices": [[{}, 0], [1, 0], [1, 1]]}',
+    "inf": '{"vertices": [[0, 0], [1e400, 0], [1, 1]]}',
+    "bigint": '{"vertices": [[0, 0], [1%s, 0], [1, 1]]}' % ("0" * 400),
+    "line": '{"vertices": [[0, 0], [1, 0], [2, 0]]}',
+    "scalar": '{"vertices": 5}',
+    "list": "[[0, 0], [1, 0], [1, 1]]",
+    "text": "not json",
+}
+_SWEEP_ARGS = st.fixed_dictionaries({
+    "--domain": _mostly(["square:1", "disk:1", "box:1,0.5", "box:1,0.5,0.7"],
+                        ["disk:0", "box:1,inf", "cube:1", "polygon:{tmp}/p.json"]),
+    # smallest h >= 0.02 where valid
+    "--h": _mostly(["log:0.2:0.02:12", "log:0.3:0.05:6", "log:0.1:0.02:8"],
+                   ["log:0.05:0.1:5", "lin:1:0.1:5", "log:0.1:0.02:0", "log:nan:0.05:5",
+                    "log:1:1e-170:6", "log:1:1e-160:6"]),
+})
+_CONSTANTS_ARGS = st.fixed_dictionaries({
+    "--d": _mostly(["1", "2", "3", "10"], ["0", "-1", "x", "283", "100000"]),
+})
+_FD_ARGS = st.fixed_dictionaries({
+    "--polygon": _mostly(["{tmp}/p.json"], ["{tmp}/missing.json"]),
+    "--step": _mostly(["0.25", "0.125", "0.0625"], ["0", "-1", "nan", "inf", "1e-300", "x"]),
+    "--threshold": _mostly(["50", "200", "600"], ["nan", "inf", "-5", "0"]),
+})
+
+
+@st.composite
+def _more_argvs(draw):
+    """sweep, fit, constants or fd argvs, with a drawn polygon file for fd
+    and polygon domains; --out as in _argvs. Sizes stay small: h >= 0.02
+    and step >= 1/16 where they are valid."""
+    command, options = draw(st.sampled_from(
+        [("sweep", _SWEEP_ARGS), ("fit", _SWEEP_ARGS), ("constants", _CONSTANTS_ARGS),
+         ("fd", _FD_ARGS)]))
+    argv = [command]
+    for flag, value in draw(options).items():
+        if draw(st.integers(0, 9)):  # a required flag is left out now and then
+            argv += [flag, value]
+    out = draw(_mostly([["--out", "{tmp}/o.csv"]], [["--out", "{tmp}/no/o.csv"], []]))
+    polygon = draw(_mostly(["square", "lshape", "triangle"], list(_POLYGON_FILES)[3:]))
+    return argv + out, _POLYGON_FILES[polygon]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_more_argvs())
+def test_cli_fuzz_more_commands(case):
+    argv, polygon = case
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/p.json", "w") as f:
+            f.write(polygon)
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    assert "Warning" not in stderr.getvalue()  # e.g. numpy's overflow RuntimeWarning
+    if code:
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["exit_code"] == code
+
+
+_SQUARE = "[[0, 0], [1, 0], [1, 1], [0, 1]]"
+_NOT_FINITE = "polygon vertices and the area they enclose must be finite"
+_NOT_NUMBERS = "polygon vertices do not convert to float64: "
+
+
+@pytest.mark.parametrize("vertices, step, code, message", [
+    pytest.param("[[0, 0], [1, 0], [1, NaN], [0, 1]]", "0.25", 2, _NOT_FINITE, id="nan-vertex"),
+    pytest.param("[[0, 0], [1e308, 0], [1e308, 1e308], [0, 1e308]]", "0.25", 2, _NOT_FINITE,
+                 id="1e308-vertices"),
+    pytest.param("[[0, 0], [1, 0, 5], [1, 1], [0, 1]]", "0.25", 2, _NOT_NUMBERS, id="ragged"),
+    pytest.param('[["a", "b"], ["c", "d"], ["e", "f"]]', "0.25", 2,
+                 _NOT_NUMBERS + "could not convert string to float: 'a'", id="strings"),
+    pytest.param("[[0, 0], [1%s, 0], [1, 1]]" % ("0" * 400), "0.25", 2,
+                 _NOT_NUMBERS + "int too large to convert to float", id="400-digit-int"),
+    pytest.param(_SQUARE, "1e-300", 4,
+                 "step 1e-300 makes a lattice box of inf points, over the budget 1048576",
+                 id="step-1e-300"),
+    pytest.param(_SQUARE, "1e-4", 4,
+                 "step 0.0001 makes a lattice box of 1e+08 points, over the budget 1048576",
+                 id="step-1e-4"),
+    pytest.param("[[0, 0], [1e150, 0], [1e150, 1e150], [0, 1e150]]", "0.25", 4,
+                 "step 0.25 makes a lattice box of 1.6e+301 points, over the budget 1048576",
+                 id="1e150-vertices"),
+    pytest.param(_SQUARE, "inf", 2, "grid step must be positive and finite, got inf",
+                 id="step-inf"),
+])
+def test_fd_input_errors(tmp_path, capsys, monkeypatch, vertices, step, code, message):
+    """Bad polygon files exit 2 and oversized lattices exit 4, each with one
+    JSON error line and no output file, and no lattice point is made. The
+    parent gave tracebacks, RuntimeWarnings for --step inf, and a
+    lattice of gigabytes for --step 1e-4."""
+    def unused(*args):
+        raise AssertionError("lattice made past the budget")
+
+    monkeypatch.setattr(fdlap, "lattice", unused)
+    poly = tmp_path / "p.json"
+    poly.write_text('{"vertices": %s}' % vertices)
+    out = tmp_path / "o.csv"
+    assert main(["fd", "--polygon", str(poly), "--step", step, "--threshold", "100",
+                 "--out", str(out)]) == code
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == ("ConfigError" if code == 2 else "ResourceError")
+    assert err["exit_code"] == code
+    assert err["message"].startswith(message)
+    assert not out.exists()
+
+
+def test_fd_lattice_budget_edge(tmp_path, monkeypatch, capsys):
+    """The unit square at step 1/4 makes a 7 x 7 lattice box: at the budget it runs."""
+    poly = tmp_path / "p.json"
+    poly.write_text('{"vertices": %s}' % _SQUARE)
+    argv = ["fd", "--polygon", str(poly), "--step", "0.25", "--threshold", "100",
+            "--out", str(tmp_path / "o.csv")]
+    monkeypatch.setattr(fdlap, "LATTICE_BUDGET", 49)
+    assert main(argv) == 0
+    monkeypatch.setattr(fdlap, "LATTICE_BUDGET", 48)
+    assert main(argv) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        "step 0.25 makes a lattice box of 49 points, over the budget 48")
+
+
+def test_polygon_domain_spec_errors(tmp_path, capsys):
+    """A polygon file that Polygon refuses reports its own ConfigError
+    (was "bad domain spec" with numpy's message)."""
+    poly = tmp_path / "p.json"
+    poly.write_text(_POLYGON_FILES["strings"])
+    argv = ["localize", "--domain", f"polygon:{poly}", "--l0", "0.1", "--out", str(tmp_path / "d.csv")]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        _NOT_NUMBERS + "could not convert string to float: 'a'")
 
 
 def test_help_exits_zero(capsys):

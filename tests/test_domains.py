@@ -9,6 +9,7 @@ from weylkit.domains import (
     Disk,
     HalfSpace,
     Polygon,
+    lattice,
     load_polygon,
     lshape_polygon,
     square,
@@ -47,6 +48,15 @@ def test_invalid_shapes():
         Ball(-1.0)
     with pytest.raises(ConfigError):
         Polygon([(0, 0), (1, 0), (2, 0)])  # zero area
+    finite = "^polygon vertices and the area they enclose must be finite$"
+    for bad in ([(0, 0), (1, 0), (1, math.nan)], [(0, 0), (math.inf, 0), (1, 1)],
+                [(0, 0), (1e308, 0), (1e308, 1e308), (0, 1e308)]):  # the area overflows
+        with pytest.raises(ConfigError, match=finite):
+            Polygon(bad)
+    for bad in ([(0, 0), (1, 0, 5), (1, 1)], [("a", "b"), ("c", "d"), ("e", "f")],
+                [({}, 0), (1, 0), (1, 1)], [(0, 0), (10**400, 0), (1, 1)]):
+        with pytest.raises(ConfigError, match="^polygon vertices do not convert to float64: "):
+            Polygon(bad)
 
 
 def test_distances():
@@ -176,3 +186,24 @@ def test_polygon_json_roundtrip(tmp_path):
         load_polygon(bad)
     with pytest.raises(ConfigError):
         load_polygon(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("axes", [
+    [np.linspace(0.0, 1.0, 4)],
+    [np.arange(-1, 3), np.arange(5, 8)],  # int64 stays int64
+    [np.array([0.5, 0.25]), np.linspace(-1.0, 1.0, 3), np.array([7.0, 8.0, 9.0, 10.0])],
+    [np.arange(3.0), np.empty(0), np.arange(2.0)],
+])
+def test_lattice_matches_meshgrid(axes):
+    want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    got = lattice(axes)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lattice_beyond_meshgrid_axes():
+    """More axes than numpy arrays have dimensions (64)."""
+    got = lattice([np.array([0.5]), np.array([1.0, 2.0])] + [np.array([3.0])] * 68)
+    assert got.shape == (2, 70)
+    assert got[:, 1].tolist() == [1.0, 2.0]
+    assert (got[:, 2:] == 3.0).all()

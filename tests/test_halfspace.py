@@ -10,7 +10,6 @@ from weylkit.bessel import bessel_j
 from weylkit.constants import TWO_PI, constants, phase_space_integral
 from weylkit.errors import ConfigError, ConvergenceError, NumericsError
 from weylkit.halfspace import (
-    HalfspaceDensity,
     absolute_moment,
     boundary_coefficient,
     boundary_partial_sums,
@@ -51,6 +50,8 @@ def test_invalid_arguments():
         cosine_integral(2, 0.0)
     with pytest.raises(ConfigError):
         density_profile(2, -1.0)
+    with pytest.raises(ConfigError):
+        density_profile(1, 3.0)
     for t_max in (0.0, -3.0):
         with pytest.raises(ConfigError, match=f"t_max must be positive, got {t_max}"):
             tail_bound_check(2, t_max)
@@ -64,12 +65,14 @@ def test_profile_wall_and_bulk():
 
 
 def test_halfspace_density_object():
-    hd = HalfspaceDensity(2)
-    assert hd.bulk == pytest.approx(constants(2).L_d, rel=1e-15)
-    assert hd.profile(0.0) == 0.0
-    assert hd.profile(3.0) == pytest.approx(density_profile(2, 3.0), rel=1e-15)
+    # The bulk density is constants(d).L_d and the half-space profile is
+    # density_profile(d, t); d = 1 has no profile.
+    bulk = constants(2).L_d
+    assert bulk == pytest.approx(2 / 4 * constants(2).C_d, rel=1e-15)
+    assert density_profile(2, 0.0) == 0.0
+    assert 0.0 < density_profile(2, 3.0) < 2 * bulk
     with pytest.raises(ConfigError):
-        HalfspaceDensity(1)
+        density_profile(1, 3.0)
 
 
 def test_profile_bounds():

@@ -13,7 +13,6 @@ from weylkit.localization import (
     BoundaryChart,
     PartitionFunction,
     ScaleFunction,
-    distance_to_complement,
     dump_diagnostics,
     bounding_box,
     holder_chart,
@@ -135,10 +134,6 @@ def test_partition_functions_query_distance_once():
         dom.queries = 0
         call()
         assert dom.queries == 1
-
-
-def test_distance_wrapper():
-    assert distance_to_complement(square(1.0), np.array([0.5, 0.5])) == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 import weylkit.spectra
@@ -268,3 +270,24 @@ def test_save_spectrum_matches_row_writer(tmp_path, case):
         assert new.read_bytes() == ref.read_bytes()
     if case in ("disk", "box"):
         assert np.unique(spectrum.eigenvalues).size < len(spectrum)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(t=st.floats(0.25, 4.0), case=st.sampled_from(["square", "box", "disk", "ball"]))
+def test_scaling(t, case):
+    """lambda(t Omega) = lambda(Omega) / t^2: the spectrum of the scaled
+    domain below cutoff / t^2 is the original's over t^2. Compared below
+    0.99 cutoff, where no eigenvalue sits at the edge."""
+    build, size, cutoff = {
+        "square": (box_spectrum, (1.0, 1.0), 900.0),  # with multiplicities
+        "box": (box_spectrum, (1.0, 0.6, 0.8), 600.0),
+        "disk": (disk_spectrum, 1.0, 900.0),
+        "ball": (ball_spectrum, 1.0, 600.0),
+    }[case]
+    scaled = tuple(t * a for a in size) if isinstance(size, tuple) else t * size
+    ref = build(size, cutoff).eigenvalues / t**2
+    got = build(scaled, cutoff / t**2).eigenvalues
+    edge = 0.99 * cutoff / t**2
+    ref, got = ref[ref < edge], got[got < edge]
+    assert len(got) == len(ref) > 20
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
