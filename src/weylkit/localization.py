@@ -455,8 +455,8 @@ def holder_chart(c: float, alpha: float, radius: float, dim: int = 2) -> Boundar
     def grad_f(xp):
         xp = np.atleast_2d(xp)
         r = np.linalg.norm(xp, axis=1)
-        safe = np.where(r > 0, r, 1.0)
-        return c * (1.0 + alpha) * safe ** (alpha - 1.0) * np.where(r[:, None] > 0, xp, 0.0)
+        scale = c * (1.0 + alpha) * np.where(r > 0, r, 1.0) ** (alpha - 1.0)
+        return scale[:, None] * np.where(r[:, None] > 0, xp, 0.0)
 
     return BoundaryChart(f=f, grad_f=grad_f, radius=radius, alpha=alpha, dim=dim)
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
@@ -12,6 +14,8 @@ from weylkit.cli import main
 from weylkit.domains import Polygon, lshape_polygon
 from weylkit.errors import ConfigError, NumericsError, ResourceError
 from weylkit.fdlap import (
+    _DENSE_CUTOVER,
+    _DENSE_FALLBACK_MAX,
     assemble,
     count_below,
     eigenvalues_below,
@@ -270,10 +274,12 @@ def _sine_spectrum(m: int, n: int, step: float, threshold: float) -> np.ndarray:
 ])
 def test_fd_rectangles_off_lattice_match_sine_spectrum(corner, sides, threshold):
     """The slicing route (inertia counts plus shift-invert Lanczos) stays
-    within 1e-13 relative of the exact discrete spectrum at step 1/32, where
-    the fd-polygon Lanczos jobs live; it measured 8e-15 to 3.6e-14 here. A
-    dense eigvalsh of the whole matrix measured 6e-14 to 1.7e-12 off on the
-    same grids, so a replacement of this route has to be held to this bound."""
+    within 1e-14 relative of the exact discrete spectrum at step 1/32, where
+    the fd-polygon Lanczos jobs live; it measured 2.7e-15 to 3.8e-15 here.
+    Shifting the slice from 0 at its center put the lowest eigenvalue 8e-15
+    to 3.6e-14 off, and a dense eigvalsh of the whole matrix measured 6e-14
+    to 1.7e-12 off on the same grids, so a replacement of this route has to
+    be held to this bound."""
     step = 1.0 / 32.0
     (x0, y0), (a, b) = corner, sides
     poly = Polygon([(x0, y0), (x0 + a, y0), (x0 + a, y0 + b), (x0, y0 + b)])
@@ -283,4 +289,99 @@ def test_fd_rectangles_off_lattice_match_sine_spectrum(corner, sides, threshold)
     got = eigenvalues_below(op, threshold)
     want = _sine_spectrum(m, n, step, threshold)
     assert len(got) == len(want) > 200
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("corner, sides, threshold", [
+    ((0.002, 0.003), (1.003, 0.845), 244.0),
+    ((-0.003, 0.002), (1.005, 0.907), 252.0),
+    ((-0.005, 0.006), (1.003, 1.015), 263.0),
+    ((0.009, -0.003), (0.919, 0.861), 205.0),
+    ((0.001, 0.01), (1.038, 0.987), 299.0),
+])
+def test_fd_rectangles_fine_step_match_sine_spectrum(corner, sides, threshold):
+    """At step 1/64 below threshold 300 every eigenvalue lies in the one
+    slice from 0, solved by shift-invert at 0: the worst relative error here
+    measured 1.6e-15 to 4.1e-15. Shifting that slice at its center measured
+    1.5e-14 to 2.4e-14 on these grids, always on the lowest eigenvalue."""
+    step = 1.0 / 64.0
+    (x0, y0), (a, b) = corner, sides
+    op = assemble(Polygon([(x0, y0), (x0 + a, y0), (x0 + a, y0 + b), (x0, y0 + b)]), step)
+    m, n = (len(np.unique(op.nodes[:, axis])) for axis in (0, 1))
+    assert m * n == op.dim > _DENSE_FALLBACK_MAX
+    got = eigenvalues_below(op, threshold)
+    want = _sine_spectrum(m, n, step, threshold)
+    assert len(got) == len(want) >= 9
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("threshold", [300.0, 1000.0])
+def test_unit_square_fine_step_finds_every_double_eigenvalue(threshold):
+    """On the lattice-aligned unit square every (j, k) != (k, j) eigenvalue is
+    double. The grid is above _DENSE_FALLBACK_MAX, so a slice that missed a
+    copy would raise instead of being redone densely."""
+    step = 1.0 / 64.0
+    op = assemble(UNIT_SQUARE, step)
+    assert op.dim == 63 * 63 > _DENSE_FALLBACK_MAX
+    got = eigenvalues_below(op, threshold)
+    want = _sine_spectrum(63, 63, step, threshold)
+    assert len(got) == len(want) == {300.0: 19, 1000.0: 71}[threshold]
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("corner, sides", [
+    ((0.01, 0.01), (1.15, 1.15)),
+    ((0.01, -0.02), (1.15, 0.93)),
+    ((0.013, 0.004), (0.97, 1.07)),
+    ((0.0, 0.01), (0.9, 0.9)),
+])
+def test_threshold_above_the_spectrum_returns_all_of_it(corner, sides):
+    """The top slice has no eigenvalue beyond its upper end, so spanning its
+    lower end certifies it; asking for more vectors until the set reached
+    past the threshold could not certify three of these four grids."""
+    step = 1.0 / 24.0
+    (x0, y0), (a, b) = corner, sides
+    op = assemble(Polygon([(x0, y0), (x0 + a, y0), (x0 + a, y0 + b), (x0, y0 + b)]), step)
+    m, n = (len(np.unique(op.nodes[:, axis])) for axis in (0, 1))
+    want = _sine_spectrum(m, n, step, math.inf)
+    got = eigenvalues_below(op, 1.1 * want[-1])
+    assert len(got) == op.dim > _DENSE_CUTOVER
     assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+@st.composite
+def _small_polygons(draw):
+    """Off-lattice rectangles and L-shapes on grids of about 20 to 150 nodes
+    at step 1/10 (dense route) or about 220 to 440 at step 1/20 (slicing).
+    Larger grids would outgrow the oracle: a dense eigvalsh is up to 1e-12
+    relative off on the lowest eigenvalue at 600 nodes and step 1/24."""
+    sliced = draw(st.booleans())
+    step, size = (1 / 20, st.floats(0.85, 1.05)) if sliced else (1 / 10, st.floats(0.55, 1.25))
+    x0, y0 = (draw(st.floats(-0.03, 0.03)) for _ in range(2))
+    a, c = draw(size), draw(size)
+    if draw(st.booleans()):
+        p, q = draw(st.floats(0.5, 0.8)) * a, draw(st.floats(0.5, 0.8)) * c
+        corners = [(0, 0), (a, 0), (a, q), (p, q), (p, c), (0, c)]
+    else:
+        corners = [(0, 0), (a, 0), (a, c), (0, c)]
+    return Polygon([(x0 + x, y0 + y) for x, y in corners]), step
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_small_polygons(), st.data())
+def test_inertia_and_slices_match_dense(grid, data):
+    """count_below equals the dense count and eigenvalues_below matches dense
+    eigvalsh within 1e-12 relative, at a threshold drawn inside a spectral gap
+    (between two eigenvalues at least 1e-6 ||A|| apart, or above the top)."""
+    op = assemble(*grid)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    below = data.draw(st.sampled_from(range(op.dim + 1)), label="below")
+    lower = dense[below - 1] if below > 0 else 0.0
+    upper = dense[below] if below < op.dim else 1.1 * dense[-1]
+    assume(upper - lower > 1e-6 * op.norm_estimate)
+    threshold = float(lower + data.draw(st.floats(0.25, 0.75), label="inside_gap") * (upper - lower))
+    assert count_below(op, threshold) == below
+    got = eigenvalues_below(op, threshold)
+    assert len(got) == below
+    if below:
+        assert np.max(np.abs(got - dense[:below]) / dense[:below]) <= 1e-12

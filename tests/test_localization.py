@@ -421,6 +421,17 @@ def test_surface_defect_nonnegative_and_slopes():
         assert abs(slope - (1.0 + 2.0 * alpha)) < 0.2
 
 
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_surface_defect_slope_above_two_dimensions(dim, alpha):
+    # the tensor-rule branch: grad f is an (n, dim - 1) array per batch
+    grads = holder_chart(1.0, alpha, 0.1, dim).grad_f(np.full((5, dim - 1), 0.02))
+    assert grads.shape == (5, dim - 1)
+    assert surface_defect(holder_chart(1.0, alpha, 0.1, dim), bump_weight(0.1)) > 0.0
+    slope = surface_defect_slope(1.0, alpha, [0.2, 0.1, 0.05], dim=dim)
+    assert abs(slope - (dim - 1 + 2.0 * alpha)) < 0.05
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 
