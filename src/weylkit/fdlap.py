@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, SuperLU, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
 from .domains import Polygon, lattice
 from .errors import ConfigError, NumericsError, ResourceError
@@ -234,16 +234,12 @@ def _solve_slice(op: GridOperator, lo: float, hi: float, k: int, top: bool) -> n
     # fixed start vector keeps reruns byte-identical (ARPACK default is random)
     v0 = np.random.default_rng(1234).standard_normal(op.dim)
     for _attempt in range(8):
-        ev = eigsh(
-            op.matrix,
-            k=ask,
-            sigma=sigma,
-            which="LM",
-            return_eigenvectors=False,
-            tol=0,
-            v0=v0,
-            OPinv=opinv,
-        )
+        try:
+            ev = eigsh(op.matrix, k=ask, sigma=sigma, which="LM", return_eigenvectors=False,
+                       tol=0, v0=v0, OPinv=opinv)
+        except ArpackNoConvergence:
+            raise NumericsError(
+                f"ARPACK did not converge on slice [{lo}, {hi}) with k={k}") from None
         spans_low = lo <= 0.0 or ev.min() < lo
         spans_high = top or ev.max() > hi
         if (spans_low and spans_high) or ask >= op.dim - 2:

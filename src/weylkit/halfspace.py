@@ -26,17 +26,21 @@ convergence acceleration.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
 from .bessel import bessel_j, zeros_below
-from .constants import TWO_PI, constants, gamma, phase_space_integral
-from .errors import ConfigError, ConvergenceError, InvariantViolation, NumericsError
+from .constants import TWO_PI, constants, gamma_half, phase_space_integral
+from .errors import ConfigError, ConvergenceError, InvariantViolation, NumericsError, ResourceError
 from .output import csv_text, write
 
 DUAL_EVAL_TOL = 1e-8
+# longest Bessel zero scan, 2 t_max; boundary_coefficient(2, t_max) peaks at
+# about 0.4 GB RSS there (84 MB at t_max = 500)
+HORIZON_BUDGET = 2**17
 
 # Gauss-Legendre rule reused for all between-zeros segment integrals
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -55,11 +59,7 @@ def _norms(d: int) -> tuple[float, float]:
     i0, _ = quad(lambda s: (1.0 - s * s) ** ((d + 1) / 2.0), 0.0, 1.0, epsabs=1e-14)
     c_quad = psi1 / i0
     # J_nu(2t)/t^nu -> 1/Gamma(nu+1) as t -> 0, nu = d/2 + 1
-    try:
-        c_bessel = psi1 * gamma(d / 2.0 + 2.0)
-    except OverflowError:
-        raise ConfigError(f"dimension {d} is too large: Gamma(d/2 + 2) overflows") from None
-    return c_quad, c_bessel
+    return c_quad, float(Fraction(psi1) * gamma_half(d + 4))
 
 
 def _cosine_bessel(d: int, t) -> np.ndarray:
@@ -125,6 +125,10 @@ def density_profile(d: int, t):
 
 def _segment_bounds(d: int, t_max: float) -> np.ndarray:
     """[0, z_1, z_2, ...]: zeros of the correction's Bessel factor <= t_max."""
+    if not 2.0 * t_max <= HORIZON_BUDGET:
+        raise ResourceError(
+            f"horizon t_max={t_max!r} scans Bessel zeros up to 2 t_max = {2.0 * t_max!r}, "
+            f"over the budget {HORIZON_BUDGET}")
     nu = d / 2.0 + 1.0
     zs = zeros_below(nu, 2.0 * t_max) / 2.0
     return np.concatenate([[0.0], zs])

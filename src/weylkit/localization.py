@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .constants import unit_ball_volume
+from .constants import constants
 from .domains import Box, Disk, _as_batch, lattice
 from .errors import ConfigError, DomainError, InvariantViolation, NumericsError, ResourceError
 from .output import csv_text, write
@@ -132,7 +132,7 @@ def jacobian_factor(sf: ScaleFunction, x, u) -> float:
 def _bump_constant(d: int) -> float:
     # c with int (c exp(-1/(1-|z|^2)))^2 dz = 1 over the unit ball
     val, _ = quad(lambda r: math.exp(-2.0 / (1.0 - r * r)) * r ** (d - 1), 0.0, 1.0)
-    return 1.0 / math.sqrt(d * unit_ball_volume(d) * val)
+    return 1.0 / math.sqrt(d * constants(d).omega_d * val)
 
 
 def _bump(r2: np.ndarray, c: float, k: float) -> np.ndarray:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -140,7 +141,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         [*fd, "--step", "0.1", "--threshold", "nan", *out],
         [*fd, "--step", "0.1", "--threshold", "inf", *out],
         ["constants", "--d", "2", "--out", str(missing / "c.json")],  # unwritable --out
-        # dimensions whose Gamma function overflows in float64
+        # dimensions whose L_d is subnormal in float64
         ["constants", "--d", "285"],
         *(["halfspace", "--d", "281", "--check", check, *out]
           for check in ("boundary-coefficient", "profile", "tail", "dual")),
@@ -160,13 +161,13 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, code, message", [
     pytest.param(["constants", "--d", "283"], 2,
-                 "dimension 283 is too large: Gamma(d/2 + 1) overflows",
+                 "dimension 283 is too large: L_d is subnormal in float64 for d > 224",
                  id="constants-d283"),
     pytest.param(["halfspace", "--d", "281", "--check", "dual"], 2,
-                 "dimension 281 is too large: Gamma(d/2 + 2) overflows",
+                 "dimension 281 is too large: L_d is subnormal in float64 for d > 224",
                  id="halfspace-d281"),
     pytest.param(["sweep", "--domain", _unit_box(283), "--h", "log:0.1:0.02:5"], 2,
-                 "dimension 283 is too large: Gamma(d/2 + 1) overflows",
+                 "dimension 283 is too large: L_d is subnormal in float64 for d > 224",
                  id="box-283-sides"),
     pytest.param(["sweep", "--domain", _unit_box(200), "--h", "log:0.1:0.02:5"], 4,
                  "box spectrum would need ~inf eigenvalues, over the budget 1e+08",
@@ -257,6 +258,62 @@ def test_normalization_seed_budget_edge(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"]["type"] == "ResourceError"
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["constants", "--d", "225"], "dimension 225", id="constants-d225"),
+    pytest.param(["constants", "--d", "100000"], "dimension 100000", id="constants-d100000"),
+    pytest.param(["halfspace", "--d", "100000", "--check", "dual"], "dimension 100000",
+                 id="halfspace-d100000"),
+    pytest.param(["sweep", "--domain", _unit_box(225), "--h", "log:0.1:0.02:5"],
+                 "dimension 225", id="box-225-sides"),
+])
+def test_dimension_limit_fails_fast(capsys, argv, message):
+    """The limit is checked before any exact arithmetic (one evaluation
+    takes about 0.4 s at d = 2000 and 43 s at d = 20000)."""
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == json.dumps({"error": {
+        "type": "ConfigError",
+        "message": f"{message} is too large: L_d is subnormal in float64 for d > 224",
+        "exit_code": 2}}) + "\n"
+
+
+def test_largest_dimension_is_accepted(capsys):
+    assert main(["constants", "--d", "224"]) == 0
+    assert json.loads(capsys.readouterr().out)["L_d"] == 3.467034311839876e-308
+    assert main(["halfspace", "--d", "224", "--check", "dual"]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 224
+    # past the constants, a 224-side box meets the eigenvalue budget, as 200 sides do
+    assert main(["sweep", "--domain", _unit_box(224), "--h", "log:0.1:0.02:5"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        "box spectrum would need ~inf eigenvalues, over the budget 1e+08")
+
+
+@pytest.mark.parametrize("check", ["boundary-coefficient", "tail"])
+def test_halfspace_horizon_budget(capsys, check):
+    """A horizon past the budget is refused before any array is made (it
+    was a 14.9 GiB allocation error at T = 1e9)."""
+    start = time.perf_counter()
+    assert main(["halfspace", "--d", "2", "--check", check, "--T", "1e9"]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == json.dumps({"error": {
+        "type": "ResourceError",
+        "message": "horizon t_max=1000000000.0 scans Bessel zeros up to 2 t_max = 2000000000.0, "
+                   "over the budget 131072",
+        "exit_code": 4}}) + "\n"
+
+
+def test_halfspace_horizon_budget_edge(monkeypatch, capsys):
+    argv = ["halfspace", "--check", "boundary-coefficient", "--T", "50"]
+    monkeypatch.setattr(halfspace, "HORIZON_BUDGET", 100)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(halfspace, "HORIZON_BUDGET", 99)
+    assert main(argv) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        "horizon t_max=50.0 scans Bessel zeros up to 2 t_max = 100.0, over the budget 99")
+
+
 def test_empty_out_path(tmp_path, monkeypatch, capsys):
     """--out "" prints to stdout where --out is optional; where a file is
     required, it names the directory "." and fails before anything is written."""
@@ -264,8 +321,8 @@ def test_empty_out_path(tmp_path, monkeypatch, capsys):
     (tmp_path / "poly.json").write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
     assert main(["constants", "--d", "2", "--out", ""]) == 0
     assert capsys.readouterr().out == (
-        '{\n  "omega_d": 3.1415926535897922,\n  "C_d": 0.07957747154594765,\n'
-        '  "L_d": 0.03978873577297382\n}\n'
+        '{\n  "omega_d": 3.141592653589793,\n  "C_d": 0.07957747154594767,\n'
+        '  "L_d": 0.039788735772973836\n}\n'
     )
     for argv in (
         ["sweep", "--domain", "square:1", "--h", "log:0.1:0.02:6"],

@@ -1,20 +1,84 @@
+import importlib
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
-from weylkit.constants import TWO_PI, Constants, constants, gamma, phase_space_integral
+from weylkit import halfspace
+from weylkit.constants import (
+    MAX_DIM,
+    TWO_PI,
+    Constants,
+    constants,
+    gamma_half,
+    phase_space_integral,
+)
 from weylkit.errors import ConfigError
 
+mpmath.mp.dps = 80
 
-def test_gamma_against_stdlib():
-    for x in [0.5, 1.0, 1.5, 2.0, 2.5, 3.5, 7.0, 11.0, 15.5, 21.0]:
-        assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-13)
+
+def _mp_constants(d):
+    omega = mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
+    c_d = omega / (2 * mpmath.pi) ** d
+    return omega, c_d, 2 * c_d / (d + 2)
+
+
+def test_constants_correctly_rounded_for_every_dimension():
+    """omega_d, C_d and L_d are float() of their 80-digit values, so no
+    float64 is closer, for every accepted d; L_d is a normal float64 there."""
+    assert MAX_DIM == 224
+    for d in range(1, MAX_DIM + 1):
+        c = constants(d)
+        assert (c.omega_d, c.C_d, c.L_d) == tuple(float(v) for v in _mp_constants(d)), d
+    assert constants(MAX_DIM).L_d >= np.finfo(float).tiny
+    assert float(_mp_constants(MAX_DIM + 1)[2]) < np.finfo(float).tiny
+
+
+def test_gamma_half_against_mpmath():
+    for m in range(1, MAX_DIM + 5):
+        assert float(gamma_half(m)) == float(mpmath.gamma(mpmath.mpf(m) / 2)), m
+
+
+def test_bessel_norm_correctly_rounded():
+    """_norms(d)[1] = psi1 Gamma(d/2 + 2) rounded once: no float64, the
+    Lanczos-gamma product it replaced included, is closer to the 80-digit
+    product."""
+    for d in range(2, MAX_DIM + 1):
+        psi1 = phase_space_integral(d, 1)
+        want = float(mpmath.mpf(psi1) * mpmath.gamma(mpmath.mpf(d) / 2 + 2))
+        assert halfspace._norms(d)[1] == want, d
+
+
+@pytest.mark.parametrize("d", [MAX_DIM + 1, 226, 283, 100000, 10**12])
+def test_rejects_dimension_above_max_before_any_arithmetic(d):
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=f"dimension {d} is too large"):
+        constants(d)
+    with pytest.raises(ConfigError, match=f"dimension {d} is too large"):
+        phase_space_integral(d, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_arithmetic_once_per_dimension():
+    exact = importlib.import_module("weylkit.constants")._exact_constants
+    exact.cache_clear()
+    first = constants(7)
+    for _ in range(600):
+        assert constants(7) is first
+    assert exact.cache_info().misses == 1
+    # the argument check runs before the cache, where 2.0 == 2 would hit
+    constants(2)
+    for bad in (2.0, 0, -1, "2", None):
+        with pytest.raises(ConfigError):
+            constants(bad)
 
 
 def test_d2_closed_forms():
     c = constants(2)
-    assert c.omega_d == pytest.approx(math.pi, rel=1e-14)
+    assert c.omega_d == math.pi
     assert c.C_d == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
     assert c.L_d == pytest.approx(1.0 / (8.0 * math.pi), rel=1e-14)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import weylkit.fdlap
 from weylkit.cli import main
@@ -169,6 +169,26 @@ def test_budget(monkeypatch):
     op = assemble(UNIT_SQUARE, 1 / 16)
     with pytest.raises(ResourceError):
         eigenvalues_below(op, 1e5)
+
+
+def test_arpack_no_convergence_exits_4(tmp_path, monkeypatch, capsys):
+    """ARPACK giving up is a NumericsError naming the slice, not a traceback."""
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    assert assemble(UNIT_SQUARE, 1 / 24).dim > _DENSE_CUTOVER
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty(0))
+
+    monkeypatch.setattr(weylkit.fdlap, "eigsh", no_convergence)
+    out = tmp_path / "o.csv"
+    argv = ["fd", "--polygon", str(poly), "--step", str(1 / 24), "--threshold", "100",
+            "--out", str(out)]
+    assert main(argv) == 4
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "NumericsError"
+    assert err["message"] == "ARPACK did not converge on slice [0.0, 100.0) with k=6"
+    assert not out.exists()
 
 
 def test_lshape_count_and_provenance():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from weylkit.constants import constants
 from weylkit.domains import Ball, Box, Disk, HalfSpace, square
 from weylkit.errors import ConfigError, DomainError, InvariantViolation, NumericsError
 from weylkit.localization import (
@@ -170,9 +171,7 @@ def test_mother_bump_normalized():
             0.0,
             1.0,
         )
-        from weylkit.constants import unit_ball_volume
-
-        assert d * unit_ball_volume(d) * val == pytest.approx(1.0, abs=1e-10)
+        assert d * constants(d).omega_d * val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_partition_support_and_center():
