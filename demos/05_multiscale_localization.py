@@ -26,8 +26,8 @@ sf = ScaleFunction(domain, l0=0.1)
 
 print("scale along a radius (l0 = 0.1):")
 for r in (0.0, 0.5, 0.8, 0.95, 1.0, 1.05):
-    u = np.array([r, 0.0])
-    print(f"  |u|={r:4.2f}  d(u)={float(sf.domain.distance_to_complement(u)):6.3f}  l(u)={float(sf.scale(u)):.5f}")
+    u = np.array([[r, 0.0]])
+    print(f"  |u|={r:4.2f}  d(u)={float(sf.domain.distance_to_complement(u)[0]):6.3f}  l(u)={float(sf.scale(u)[0]):.5f}")
 
 print("\nnormalization of the partition family at selected points:")
 for label, x in (

@@ -55,7 +55,6 @@ from .halfspace import (
 )
 from .localization import (
     BoundaryChart,
-    PartitionFunction,
     ScaleFunction,
     dump_diagnostics,
     holder_chart,

@@ -17,14 +17,8 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Points are numpy arrays of shape (d,) or batches of shape (n, d).
-
-
-def _as_batch(u) -> tuple[np.ndarray, bool]:
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        return u[None, :], True
-    return u, False
+# Points are float arrays of shape (n, d), one point per row; every query
+# returns per-row arrays, and a row's value does not depend on its batch.
 
 
 def lattice(axes) -> np.ndarray:
@@ -62,28 +56,22 @@ class Box:
         return 2.0 * sum(v / a for a in self.sides)
 
     def contains(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
         a = np.asarray(self.sides)
-        inside = np.all((u > 0) & (u < a), axis=1)
-        return inside[0] if single else inside
+        return np.all((u > 0) & (u < a), axis=1)
 
     def distance_to_complement(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
         a = np.asarray(self.sides)
         gaps = np.minimum(u, a - u)  # per-axis distance to the two faces
-        dist = np.clip(gaps.min(axis=1), 0.0, None)
-        return dist[0] if single else dist
+        return np.clip(gaps.min(axis=1), 0.0, None)
 
     def distance_to_boundary(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
         a = np.asarray(self.sides)
         gaps = np.minimum(u, a - u)
         inside = gaps.min(axis=1)
         # outside: distance to the box
         out = np.maximum(np.maximum(-u, u - a), 0.0)
         outside = np.sqrt(np.sum(out * out, axis=1))
-        dist = np.where(inside > 0, inside, outside)
-        return dist[0] if single else dist
+        return np.where(inside > 0, inside, outside)
 
     def grad_distance(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of d(u) where defined.
@@ -91,7 +79,6 @@ class Box:
         Returns (grad, smooth) with smooth=False on the non-differentiable
         set (outside closure, face ties, points on the boundary).
         """
-        u, single = _as_batch(u)
         a = np.asarray(self.sides)
         gaps = np.stack([u, a - u], axis=2)  # (n, d, 2)
         flat = gaps.reshape(len(u), 2 * a.size)
@@ -108,8 +95,6 @@ class Box:
         # outside the closure d == 0 identically, which is smooth
         strictly_out = np.any((u < -1e-12) | (u > a + 1e-12), axis=1)
         smooth |= strictly_out
-        if single:
-            return grad[0], bool(smooth[0])
         return grad, smooth
 
 
@@ -134,31 +119,22 @@ class Disk:
         return 2.0 * math.pi * self.radius
 
     def contains(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
-        inside = np.sum(u * u, axis=1) < self.radius**2
-        return inside[0] if single else inside
+        return np.sum(u * u, axis=1) < self.radius**2
 
     def distance_to_complement(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
         r = np.sqrt(np.sum(u * u, axis=1))
-        dist = np.clip(self.radius - r, 0.0, None)
-        return dist[0] if single else dist
+        return np.clip(self.radius - r, 0.0, None)
 
     def distance_to_boundary(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
         r = np.sqrt(np.sum(u * u, axis=1))
-        dist = np.abs(self.radius - r)
-        return dist[0] if single else dist
+        return np.abs(self.radius - r)
 
     def grad_distance(self, u) -> tuple[np.ndarray, np.ndarray]:
-        u, single = _as_batch(u)
         r = np.sqrt(np.sum(u * u, axis=1))
         inside = r < self.radius
         safe = np.where(r > 0, r, 1.0)
         grad = np.where(inside[:, None], -u / safe[:, None], 0.0)
         smooth = (r > 1e-12) & (np.abs(r - self.radius) > 1e-12)
-        if single:
-            return grad[0], bool(smooth[0])
         return grad, smooth
 
 
@@ -202,27 +178,18 @@ class HalfSpace:
     surface = math.inf
 
     def contains(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
-        inside = u[:, -1] > 0
-        return inside[0] if single else inside
+        return u[:, -1] > 0
 
     def distance_to_complement(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
-        dist = np.clip(u[:, -1], 0.0, None)
-        return dist[0] if single else dist
+        return np.clip(u[:, -1], 0.0, None)
 
     def distance_to_boundary(self, u) -> np.ndarray:
-        u, single = _as_batch(u)
-        dist = np.abs(u[:, -1])
-        return dist[0] if single else dist
+        return np.abs(u[:, -1])
 
     def grad_distance(self, u) -> tuple[np.ndarray, np.ndarray]:
-        u, single = _as_batch(u)
         grad = np.zeros_like(u)
         grad[:, -1] = np.where(u[:, -1] > 0, 1.0, 0.0)
         smooth = np.abs(u[:, -1]) > 1e-12
-        if single:
-            return grad[0], bool(smooth[0])
         return grad, smooth
 
 
@@ -260,9 +227,7 @@ class Polygon:
 
     def contains(self, u) -> np.ndarray:
         """Even-odd membership test; points on an edge count as outside."""
-        pts, single = _as_batch(u)
-        result = self._inside(pts, self.distance_to_boundary(pts))
-        return result[0] if single else result
+        return self._inside(u, self.distance_to_boundary(u))
 
     def _inside(self, pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
         """`contains` for a batch whose boundary distances are `dist`."""
@@ -280,24 +245,22 @@ class Polygon:
         return inside & ~on
 
     def distance_to_boundary(self, u) -> np.ndarray:
-        pts, single = _as_batch(u)
         a = self.vertices
         b = np.roll(a, -1, axis=0)
-        best = np.full(len(pts), np.inf)
+        best = np.full(len(u), np.inf)
         for p0, p1 in zip(a, b):
             e = p1 - p0
             L2 = e @ e
-            w = pts - p0
-            t = np.clip((w @ e) / L2, 0.0, 1.0)
+            w = u - p0
+            # not w @ e: BLAS rounds a matrix-vector product by batch size
+            t = np.clip((w[:, 0] * e[0] + w[:, 1] * e[1]) / L2, 0.0, 1.0)
             proj = p0 + t[:, None] * e
-            best = np.minimum(best, np.hypot(*(pts - proj).T))
-        return best[0] if single else best
+            best = np.minimum(best, np.hypot(*(u - proj).T))
+        return best
 
     def distance_to_complement(self, u) -> np.ndarray:
-        pts, single = _as_batch(u)
-        dist = self.distance_to_boundary(pts)
-        dist = np.where(self._inside(pts, dist), dist, 0.0)
-        return dist[0] if single else dist
+        dist = self.distance_to_boundary(u)
+        return np.where(self._inside(u, dist), dist, 0.0)
 
 
 def load_polygon(path) -> Polygon:

@@ -34,6 +34,10 @@ MAX_GROWTH = 1e8  # breakdown when || |L||U| ||_inf > MAX_GROWTH * ||A - shift*I
 MAX_SLICE = 64  # eigenvalues per spectrum slice
 DEFAULT_EIG_BUDGET = 20000  # max eigenvalues per extraction; read at call time
 LATTICE_BUDGET = 2**20  # points in assemble's lattice box; its peak is about 0.3 GB there
+# implicit restarts per eigsh call: 10x the 20 that the unit L-shape at step
+# 1/64 below 16400.384 needs (tests, demos and benchmark jobs need at most 11);
+# a slice that has not converged by then is refused in seconds, not minutes
+ARPACK_MAXITER = 200
 _DENSE_CUTOVER = 220  # below this dimension just use a dense solver
 _DENSE_FALLBACK_MAX = 2000  # largest dimension a Lanczos slice may redo densely
 # irrational-ish split ratio keeps slice boundaries off the exact
@@ -236,7 +240,7 @@ def _solve_slice(op: GridOperator, lo: float, hi: float, k: int, top: bool) -> n
     for _attempt in range(8):
         try:
             ev = eigsh(op.matrix, k=ask, sigma=sigma, which="LM", return_eigenvectors=False,
-                       tol=0, v0=v0, OPinv=opinv)
+                       tol=0, v0=v0, OPinv=opinv, maxiter=ARPACK_MAXITER)
         except ArpackNoConvergence:
             raise NumericsError(
                 f"ARPACK did not converge on slice [{lo}, {hi}) with k={k}") from None

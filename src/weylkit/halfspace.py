@@ -63,10 +63,21 @@ def _norms(d: int) -> tuple[float, float]:
 
 
 def _cosine_bessel(d: int, t) -> np.ndarray:
-    """Closed-form route for the cosine correction, vectorized over t > 0."""
+    """Closed-form route for the cosine correction, vectorized over t > 0.
+
+    c J_nu(2t) / t^nu, taken in logarithms where t^nu overflows.
+    """
     nu = d / 2.0 + 1.0
     t = np.asarray(t, dtype=float)
-    return _norms(d)[1] * bessel_j(nu, 2.0 * t) / t**nu
+    c, j = _norms(d)[1], bessel_j(nu, 2.0 * t)
+    with np.errstate(over="ignore"):
+        power = t**nu
+    out = c * j / power
+    far = power == math.inf
+    with np.errstate(divide="ignore"):  # log 0 = -inf at a zero of J
+        logs = math.log(c) + np.log(np.abs(j[far])) - nu * np.log(t[far])
+    out[far] = np.sign(j[far]) * np.exp(logs)
+    return out
 
 
 def cosine_integral(d: int, t):

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .constants import constants
-from .domains import Box, Disk, _as_batch, lattice
+from .domains import Box, Disk, lattice
 from .errors import ConfigError, DomainError, InvariantViolation, NumericsError, ResourceError
 from .output import csv_text, write
 
@@ -64,32 +64,23 @@ class ScaleFunction:
             raise ConfigError(f"l0 must lie in (0, 1], got {self.l0}")
 
     def scale(self, u):
-        dist = np.asarray(self.domain.distance_to_complement(u))
-        s = np.hypot(dist, self.l0)
+        s = np.hypot(self.domain.distance_to_complement(u), self.l0)
         return s / (2.0 * (s + 1.0))
 
-    def grad_scale(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(grad l, fallback flags); flagged points used finite differences.
+    def scale_and_grad(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(l, grad l, fallback flags) for a batch u from one distance query.
 
-        Analytic via the chain rule where the distance is differentiable;
-        on its non-differentiability set (e.g. the ridge of a box) a
-        symmetric finite difference of l with step FD_STEP_FACTOR * l0 is
-        used and the point is flagged for diagnostics.
+        grad l is analytic via the chain rule where the distance is
+        differentiable; on its non-differentiability set (e.g. the ridge of
+        a box) a symmetric finite difference of l with step
+        FD_STEP_FACTOR * l0 is used and the point is flagged for diagnostics.
         """
-        u, single = _as_batch(u)
-        _, grad, flagged = self._scale_and_grad(u)
-        if single:
-            return grad[0], bool(flagged[0])
-        return grad, flagged
-
-    def _scale_and_grad(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(l, grad l, fallback flags) for a batch u from one distance query."""
-        dist = np.asarray(self.domain.distance_to_complement(u))
+        dist = self.domain.distance_to_complement(u)
         gd, smooth = self.domain.grad_distance(u)
         s = np.hypot(dist, self.l0)
         l = s / (2.0 * (s + 1.0))
         grad = (dist / (2.0 * s * (s + 1.0) ** 2))[:, None] * gd
-        flagged = ~np.asarray(smooth)
+        flagged = ~smooth
         if flagged.any():
             step = FD_STEP_FACTOR * self.l0
             uf = u[flagged]
@@ -105,23 +96,23 @@ class ScaleFunction:
 
 
 def _frame(sf: ScaleFunction, u: np.ndarray, x: np.ndarray):
-    """(l, grad l, z, |z|^2, W) at center u for a batch x, from one query at u:
-    z = (x - u)/l and W = 1 + (x - u) . grad l / l."""
-    l, grad, _ = sf._scale_and_grad(u[None, :])
-    l, grad = float(l[0]), grad[0]
-    diff = x - u[None, :]
-    z = diff / l
-    return l, grad, z, np.sum(z * z, axis=1), 1.0 + diff @ grad / l
+    """(l, grad l, x - u, |x - u|^2 / l^2, W) for centers u and points x,
+    (n, d) batches paired row by row or with one side a single row, from one
+    scale query at u: l and grad l per center, W = 1 + (x - u) . grad l / l."""
+    l, grad, _ = sf.scale_and_grad(u)
+    diff = x - u
+    return (l, grad, diff, np.sum(diff * diff, axis=1) / (l * l),
+            1.0 + np.sum(diff * grad, axis=1) / l)
 
 
 def jacobian_factor(sf: ScaleFunction, x, u) -> float:
     """J(x, u) = l^{-d} |1 + (x - u) . grad l(u) / l(u)| on |x - u| < l(u)."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    l, _, _, _, w = _frame(sf, u, x[None, :])
-    if np.linalg.norm(x - u) >= l:
-        raise DomainError(f"point {x} outside the support ball of radius {l} at {u}")
-    return l ** -len(x) * abs(float(w[0]))
+    l, _, diff, _, w = _frame(sf, u[None, :], x[None, :])
+    if np.linalg.norm(diff) >= l[0]:
+        raise DomainError(f"point {x} outside the support ball of radius {l[0]} at {u}")
+    return l[0] ** -len(x) * abs(float(w[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -145,52 +136,36 @@ def _bump(r2: np.ndarray, c: float, k: float) -> np.ndarray:
 
 def mother_bump(d: int, z) -> np.ndarray:
     """Smooth bump with support {|z| < 1} and unit L2 norm."""
-    z, single = _as_batch(z)
-    out = _bump(np.sum(z * z, axis=1), _bump_constant(d), 1.0)
-    return out[0] if single else out
+    return _bump(np.sum(z * z, axis=1), _bump_constant(d), 1.0)
 
 
-@dataclass(frozen=True)
-class PartitionFunction:
-    """phi_u for a fixed center u over a scale function."""
-
-    sf: ScaleFunction
-    center: tuple
-
-    @property
-    def scale(self) -> float:
-        return float(self.sf.scale(np.asarray(self.center, dtype=float)))
-
-
-def partition_eval(pf: PartitionFunction, x) -> float | np.ndarray:
-    """phi_u(x); exactly 0 outside the ball |x - u| < l(u)."""
-    u = np.asarray(pf.center, dtype=float)
-    x, single = _as_batch(x)
-    _, _, _, r2, w = _frame(pf.sf, u, x)
+def partition_eval(sf: ScaleFunction, u, x) -> np.ndarray:
+    """phi_u(x) for the center u and a batch x; exactly 0 outside |x - u| < l(u)."""
+    u = np.asarray(u, dtype=float)
+    _, _, _, r2, w = _frame(sf, u[None, :], x)
     out = _bump(r2, _bump_constant(len(u)), 1.0)
     inside = r2 < 1.0
     out[inside] *= np.sqrt(w[inside])
-    return float(out[0]) if single else out
+    return out
 
 
-def partition_grad(pf: PartitionFunction, x) -> np.ndarray:
-    """Gradient of phi_u in x; |grad phi_u| * l(u) stays bounded in u."""
-    u = np.asarray(pf.center, dtype=float)
-    x, single = _as_batch(x)
-    l, grad_l, z, r2, w = _frame(pf.sf, u, x)
+def partition_grad(sf: ScaleFunction, u, x) -> np.ndarray:
+    """Gradient of phi_u in x for a batch x; |grad phi_u| * l(u) stays bounded in u."""
+    u = np.asarray(u, dtype=float)
+    l, grad_l, diff, r2, w = _frame(sf, u[None, :], x)
     out = np.zeros_like(x)
     inside = r2 < 1.0
     if inside.any():
-        zi = z[inside]
+        zi = diff[inside] / l
         r2i = r2[inside]
         phi = _bump(r2i, _bump_constant(len(u)), 1.0)
         dphi = phi[:, None] * (-2.0 * zi / (1.0 - r2i[:, None]) ** 2)
         wi = w[inside]
         out[inside] = (
             np.sqrt(wi)[:, None] * dphi / l
-            + (phi / (2.0 * np.sqrt(wi)))[:, None] * grad_l[None, :] / l
+            + (phi / (2.0 * np.sqrt(wi)))[:, None] * grad_l / l
         )
-    return out[0] if single else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +182,7 @@ def _normalization_integrand(sf: ScaleFunction, x: np.ndarray):
     d = len(x)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        l, grad_l, _ = sf._scale_and_grad(u)
-        diff = x[None, :] - u
-        z2 = np.sum(diff * diff, axis=1) / (l * l)
-        w = 1.0 + np.sum(diff * grad_l, axis=1) / l
+        l, _, _, z2, w = _frame(sf, u, x[None, :])
         return _bump(z2, _bump_constant(d) ** 2, 2.0) * w * l**-d
 
     return integrand
@@ -242,7 +214,7 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
         raise ConfigError(f"tol must be positive, got {tol}")
     x = np.asarray(x, dtype=float)
     d = len(x)
-    lx = float(sf.scale(x))
+    lx = float(sf.scale(x[None, :])[0])
     radius = min(0.5, 2.0 * lx)
     h0 = SEED_CELL_FACTOR * lx
     n = int(math.ceil(radius / h0)) + 1
@@ -355,7 +327,8 @@ class BoundaryChart:
     """Graph chart of a boundary patch: x_d = f(x') on |x'| <= radius.
 
     f(0) = 0 and grad f(0) = 0; grad f is Hoelder continuous with
-    exponent alpha, so sup |grad f| = O(radius^alpha).
+    exponent alpha, so sup |grad f| = O(radius^alpha). f and grad f take
+    (n, d - 1) batches of x'.
     """
 
     f: object
@@ -371,7 +344,6 @@ class BoundaryChart:
 
 def _shear(chart: BoundaryChart, x, sign: float) -> np.ndarray:
     """(x', x_d) -> (x', x_d + sign * f(x')) on the chart disk."""
-    x, single = _as_batch(x)
     xp = x[:, :-1]
     if np.any(np.linalg.norm(xp, axis=1) > chart.radius * (1.0 + 1e-12)):
         raise DomainError(
@@ -379,7 +351,7 @@ def _shear(chart: BoundaryChart, x, sign: float) -> np.ndarray:
         )
     y = x.copy()
     y[:, -1] = x[:, -1] + sign * np.asarray(chart.f(xp))
-    return y[0] if single else y
+    return y
 
 
 def straighten(chart: BoundaryChart, x) -> np.ndarray:
@@ -426,22 +398,15 @@ def surface_defect(chart: BoundaryChart, phi2) -> float:
     scales like radius^{d - 1 + 2 alpha} for an alpha-Hoelder gradient.
     """
     r = chart.radius
-    if chart.dim == 2:
-        def integrand(s):
-            g = np.asarray(chart.grad_f(np.array([[s]])))
-            return float(phi2(np.array([[s]]))[0] * (math.hypot(1.0, float(g[0, 0])) - 1.0))
-
-        val, _ = quad(integrand, -r, r, points=[0.0], limit=200)
-        return float(val)
-    pts, w = _tensor_rule(chart.dim - 1, 48)
-    nodes = pts * r
+    t, wt = np.polynomial.legendre.leggauss(24)
+    # 24 nodes on each half-axis, so that no rule straddles the kink of f at 0
+    axis, weights = np.concatenate([t - 1.0, t + 1.0]) / 2.0, np.concatenate([wt, wt]) / 2.0
+    nodes = lattice([axis] * (chart.dim - 1)) * r
+    w = np.prod(lattice([weights] * (chart.dim - 1)), axis=1)
     inside = np.linalg.norm(nodes, axis=1) < r
-    g = np.zeros(len(nodes))
+    grads = np.asarray(chart.grad_f(nodes[inside]))
     vals = np.zeros(len(nodes))
-    if inside.any():
-        grads = np.asarray(chart.grad_f(nodes[inside]))
-        g[inside] = np.sqrt(1.0 + np.sum(grads * grads, axis=1)) - 1.0
-        vals[inside] = np.asarray(phi2(nodes[inside])) * g[inside]
+    vals[inside] = np.asarray(phi2(nodes[inside])) * (np.sqrt(1.0 + np.sum(grads**2, axis=1)) - 1.0)
     return float(np.sum(vals * w) * r ** (chart.dim - 1))
 
 
@@ -449,11 +414,9 @@ def holder_chart(c: float, alpha: float, radius: float, dim: int = 2) -> Boundar
     """Chart family f(x') = c |x'|^{1 + alpha}, exactly C^{1, alpha}."""
 
     def f(xp):
-        xp = np.atleast_2d(xp)
         return c * np.linalg.norm(xp, axis=1) ** (1.0 + alpha)
 
     def grad_f(xp):
-        xp = np.atleast_2d(xp)
         r = np.linalg.norm(xp, axis=1)
         scale = c * (1.0 + alpha) * np.where(r > 0, r, 1.0) ** (alpha - 1.0)
         return scale[:, None] * np.where(r[:, None] > 0, xp, 0.0)
@@ -465,7 +428,6 @@ def bump_weight(radius: float):
     """A fixed smooth profile rescaled to the chart disk, for defect tests."""
 
     def phi2(xp):
-        xp = np.atleast_2d(xp)
         return _bump(np.sum(xp * xp, axis=1) / radius**2, 1.0, 2.0)
 
     return phi2
@@ -488,6 +450,6 @@ def surface_defect_slope(c: float, alpha: float, radii, dim: int = 2) -> float:
 def dump_diagnostics(sf: ScaleFunction, points, path) -> None:
     """CSV of (u, l(u), flag); flag=1 where grad l fell back to differences."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    l, _, flags = sf._scale_and_grad(pts)
+    l, _, flags = sf.scale_and_grad(pts)
     header = [f"u{i + 1}" for i in range(pts.shape[1])] + ["l", "flag"]
     write(csv_text(header, [*pts.T, l, flags.astype(int)]), path)

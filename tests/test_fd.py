@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -188,6 +189,25 @@ def test_arpack_no_convergence_exits_4(tmp_path, monkeypatch, capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "NumericsError"
     assert err["message"] == "ARPACK did not converge on slice [0.0, 100.0) with k=6"
+    assert not out.exists()
+
+
+def test_arpack_iteration_bound_exits_4_fast(tmp_path, capsys):
+    """The unit square at step 1/64 below 16400.384: one slice's vectors reach
+    into the 63-fold eigenvalue 4/step^2 = 16384, and ARPACK does not converge
+    there. Without a bound it gave up after 39,691 restarts and about 3 minutes."""
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    out = tmp_path / "o.csv"
+    argv = ["fd", "--polygon", str(poly), "--step", "0.015625", "--threshold", "16400.384",
+            "--out", str(out)]
+    start = time.perf_counter()
+    assert main(argv) == 4
+    assert time.perf_counter() - start < 60.0
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "NumericsError"
+    assert err["message"] == ("ARPACK did not converge on slice "
+                              "[16336.321889830817, 16368.353063027875) with k=2")
     assert not out.exists()
 
 

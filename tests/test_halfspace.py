@@ -1,6 +1,12 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -225,3 +231,39 @@ def test_batched_errors_name_the_first_bad_t(monkeypatch):
     with pytest.raises(NumericsError, match=r"at d=2, t=3\.0: quadrature "):
         cosine_integral(2, np.array([1.0, 3.0, 2.0]))
 
+
+
+def _mpmath_cosine_integral(d: int, t: float):
+    """c'_d J_nu(2t) / t^nu, nu = d/2 + 1, at 50 digits."""
+    mpmath.mp.dps = 50
+    nu = mpmath.mpf(d) / 2 + 1
+    psi1 = mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1) * 2 / (d + 2)
+    return psi1 * mpmath.gamma(nu + 1) * mpmath.besselj(nu, 2 * mpmath.mpf(t)) / mpmath.mpf(t) ** nu
+
+
+@pytest.mark.parametrize("d,t", [(224, 1000.0), (224, 540.0), (200, 2000.0)])
+def test_cosine_integral_past_the_float_range_of_t_power(d, t):
+    # t^(d/2+1) overflows at each of these t, yet the correction is a normal float
+    assert (d / 2 + 1) * math.log10(t) > 308.3
+    want = _mpmath_cosine_integral(d, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cosine_integral(d, t)
+    assert got != 0.0
+    assert abs(got - float(want)) <= 1e-9 * abs(float(want))
+
+
+def test_profile_at_d224_has_no_overflow_warning(tmp_path):
+    """The argv whose t^113 overflowed: no warning under -W error, and rho is
+    still L_d bit for bit at t = 500 and 1000."""
+    src = Path(halfspace.__file__).resolve().parents[1]
+    out = tmp_path / "p.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "weylkit.cli", "halfspace", "--d", "224",
+         "--check", "profile", "--T", "1000", "--count", "3", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_bytes() == (
+        b"t,rho,bulk\r\n0.0,0.0,3.467034311839876e-308\r\n"
+        b"500.0,3.467034311839876e-308,3.467034311839876e-308\r\n"
+        b"1000.0,3.467034311839876e-308,3.467034311839876e-308\r\n")

@@ -12,7 +12,6 @@ from weylkit.domains import Ball, Box, Disk, HalfSpace, square
 from weylkit.errors import ConfigError, DomainError, InvariantViolation, NumericsError
 from weylkit.localization import (
     BoundaryChart,
-    PartitionFunction,
     ScaleFunction,
     dump_diagnostics,
     bounding_box,
@@ -55,12 +54,12 @@ def sample_points(domain, n, margin=0.6):
 
 def test_scale_formula_values():
     sf = ScaleFunction(HalfSpace(2), 0.1)
-    wall = sf.scale(np.array([0.3, 0.0]))
+    wall = sf.scale(np.array([[0.3, 0.0]]))[0]
     assert wall == pytest.approx(0.1 / (2 * 1.1), rel=1e-14)
-    far = sf.scale(np.array([0.0, 1e12]))
+    far = sf.scale(np.array([[0.0, 1e12]]))[0]
     assert far == pytest.approx(0.5, abs=1e-10)
     s = math.sqrt(0.02)
-    at = sf.scale(np.array([0.0, 0.1]))
+    at = sf.scale(np.array([[0.0, 0.1]]))[0]
     assert at == pytest.approx(0.5 / (1 + 1 / s), rel=1e-14)
 
 
@@ -109,7 +108,7 @@ def test_scale_and_grad_matches_public_paths():
     ridge = np.array([[0.3, 0.3], [0.5, 0.5], [0.8, 0.2]])  # diagonal face ties
     for u, flagged in ((smooth, False), (ridge, True)):
         dom.queries = 0
-        l, grad, flags = sf._scale_and_grad(u)
+        l, grad, flags = sf.scale_and_grad(u)
         if not flagged:
             assert dom.queries == 1  # l and grad l from one distance query
             dist = square(1.0).distance_to_complement(u)
@@ -119,18 +118,14 @@ def test_scale_and_grad_matches_public_paths():
             assert np.allclose(grad, chain, rtol=1e-14, atol=0.0)
         assert np.all(flags == flagged)
         assert l.tobytes() == np.asarray(sf.scale(u)).tobytes()
-        ref_grad, ref_flags = sf.grad_scale(u)
-        assert grad.tobytes() == ref_grad.tobytes()
-        assert np.array_equal(flags, ref_flags)
 
 
 def test_partition_functions_query_distance_once():
     dom = _CountingDomain(Disk(1.0))
     sf = ScaleFunction(dom, 0.1)
     u = np.array([0.5, 0.1])
-    pf = PartitionFunction(sf, tuple(u))
     x = u + np.array([[0.01, 0.02], [-0.02, 0.0]])
-    for call in (lambda: partition_eval(pf, x), lambda: partition_grad(pf, x),
+    for call in (lambda: partition_eval(sf, u, x), lambda: partition_grad(sf, u, x),
                  lambda: jacobian_factor(sf, x[0], u)):
         dom.queries = 0
         call()
@@ -144,7 +139,7 @@ def test_partition_functions_query_distance_once():
 def test_jacobian_at_center():
     sf = ScaleFunction(Disk(1.0), 0.1)
     u = np.array([0.4, 0.1])
-    l = float(sf.scale(u))
+    l = float(sf.scale(u[None, :])[0])
     assert jacobian_factor(sf, u, u) == pytest.approx(l**-2, rel=1e-13)
 
 
@@ -152,7 +147,7 @@ def test_jacobian_constant_scale_regime():
     sf = ScaleFunction(HalfSpace(2), 0.1)
     u = np.array([0.0, 500.0])
     x = u + np.array([0.1, -0.2])
-    l = float(sf.scale(u))
+    l = float(sf.scale(u[None, :])[0])
     assert jacobian_factor(sf, x, u) == pytest.approx(l**-2, rel=1e-5)
 
 
@@ -176,15 +171,14 @@ def test_mother_bump_normalized():
 
 def test_partition_support_and_center():
     sf = ScaleFunction(Disk(1.0), 0.1)
-    u = (0.5, 0.0)
-    pf = PartitionFunction(sf, u)
-    l = pf.scale
+    u = np.array([0.5, 0.0])
+    l = float(sf.scale(u[None, :])[0])
     # outside the ball: exactly zero
-    x = np.array([0.5 + l * 1.0001, 0.0])
-    assert partition_eval(pf, x) == 0.0
+    x = np.array([[0.5 + l * 1.0001, 0.0]])
+    assert partition_eval(sf, u, x)[0] == 0.0
     # at the center the scale factors cancel, leaving phi(0)
     phi0 = float(mother_bump(2, np.zeros((1, 2)))[0])
-    assert partition_eval(pf, np.asarray(u)) == pytest.approx(phi0, rel=1e-12)
+    assert partition_eval(sf, u, u[None, :])[0] == pytest.approx(phi0, rel=1e-12)
 
 
 def test_partition_sup_bounds():
@@ -192,11 +186,10 @@ def test_partition_sup_bounds():
     sup = 0.0
     grad_sup = 0.0
     for u in sample_points(square(1.0), 40):
-        pf = PartitionFunction(sf, tuple(u))
-        l = pf.scale
+        l = float(sf.scale(u[None, :])[0])
         x = u[None, :] + RNG.uniform(-l, l, size=(200, 2))
-        vals = partition_eval(pf, x)
-        grads = partition_grad(pf, x)
+        vals = partition_eval(sf, u, x)
+        grads = partition_grad(sf, u, x)
         sup = max(sup, np.max(np.abs(vals)))
         grad_sup = max(grad_sup, np.max(np.linalg.norm(grads, axis=1)) * l)
     phi0 = float(mother_bump(2, np.zeros((1, 2)))[0])
@@ -206,16 +199,16 @@ def test_partition_sup_bounds():
 
 def test_partition_grad_matches_finite_differences():
     sf = ScaleFunction(Disk(1.0), 0.1)
-    pf = PartitionFunction(sf, (0.6, 0.2))
-    x = np.array([0.62, 0.21])
-    g = partition_grad(pf, x)
+    u = np.array([0.6, 0.2])
+    x = np.array([[0.62, 0.21]])
+    g = partition_grad(sf, u, x)[0]
     eps = 1e-7
     for axis in range(2):
         xp = x.copy()
         xm = x.copy()
-        xp[axis] += eps
-        xm[axis] -= eps
-        fd = (partition_eval(pf, xp) - partition_eval(pf, xm)) / (2 * eps)
+        xp[0, axis] += eps
+        xm[0, axis] -= eps
+        fd = (partition_eval(sf, u, xp)[0] - partition_eval(sf, u, xm)[0]) / (2 * eps)
         assert g[axis] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -247,8 +240,8 @@ def test_normalization_near_boundary(domain, x):
 class _FlatGradientScale(ScaleFunction):
     """The right l with grad l replaced by 0: a wrong Jacobian weight W = 1."""
 
-    def _scale_and_grad(self, u):
-        l, grad, flagged = super()._scale_and_grad(u)
+    def scale_and_grad(self, u):
+        l, grad, flagged = super().scale_and_grad(u)
         return l, np.zeros_like(grad), flagged
 
 
@@ -309,7 +302,7 @@ def test_normalization_support_lemma(case, data):
     # l(u) > 2 l(x)/3: normalization_check seeds only that ball
     domain, l0, x = case
     sf = ScaleFunction(domain, l0)
-    lx = float(sf.scale(x))
+    lx = float(sf.scale(x[None, :])[0])
     # radii anywhere in B(x, 1/2), and around the support edge 2 l(x)
     radius = st.one_of(
         st.floats(0.0, 0.5), st.floats(0.0, 1.25).map(lambda f: min(0.5, 2 * lx * f))
@@ -378,17 +371,17 @@ def test_straighten_identity_for_flat_graph():
         radius=0.3,
         alpha=1.0,
     )
-    x = np.array([0.1, 0.25])
+    x = np.array([[0.1, 0.25]])
     assert np.allclose(straighten(flat, x), x)
     assert surface_defect(flat, bump_weight(0.3)) == 0.0
 
 
 def test_straighten_parabola_example():
     ch = holder_chart(0.5, 1.0, 0.2)  # f = |x'|^2 / 2
-    y = straighten(ch, np.array([0.1, 0.01]))
-    assert np.allclose(y, [0.1, 0.005])
+    y = straighten(ch, np.array([[0.1, 0.01]]))
+    assert np.allclose(y, [[0.1, 0.005]])
     x = unstraighten(ch, y)
-    assert np.max(np.abs(x - [0.1, 0.01])) < 1e-12
+    assert np.max(np.abs(x - [[0.1, 0.01]])) < 1e-12
 
 
 def test_straighten_roundtrip_batch():
@@ -402,7 +395,7 @@ def test_straighten_roundtrip_batch():
 def test_straighten_domain_error():
     ch = holder_chart(1.0, 1.0, 0.2)
     with pytest.raises(DomainError):
-        straighten(ch, np.array([0.5, 0.0]))
+        straighten(ch, np.array([[0.5, 0.0]]))
 
 
 def test_mc_volume_preserved():
@@ -450,7 +443,7 @@ def test_dump_diagnostics(tmp_path):
 def _reference_dump_diagnostics(sf, points, path):
     """The csv.writer row loop that the column-wise writer replaced."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    l, _, flags = sf._scale_and_grad(pts)
+    l, _, flags = sf.scale_and_grad(pts)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f"u{i + 1}" for i in range(pts.shape[1])] + ["l", "flag"])
