@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -22,10 +23,10 @@ from .fdlap import assemble, fd_spectrum
 from .functionals import fit_second_term, fit_to_json, sweep, sweep_to_csv
 from .localization import ScaleFunction, bounding_box, dump_diagnostics, normalization_check
 from .output import json_text, write
-from .spectra import save_spectrum, spectrum_for
+from .spectra import save_spectrum, sidecar, spectrum_for
 
 MC_SEED = 0  # fixed seed for every Monte-Carlo ingredient
-_GRID_BUDGET = 2**21  # localize grid points (128^3); about 0.4 kB of memory each in 3-D
+_GRID_BUDGET = 2**21  # points a command evaluates (128^3); about 0.4 kB each in a 3-D localize
 
 
 def parse_domain(spec: str):
@@ -58,6 +59,8 @@ def parse_h_grid(spec: str) -> tuple[float, ...]:
         raise ConfigError(f"bad h grid spec {spec!r}: {exc}") from exc
     if not (math.inf > start > stop > 0) or count < 1:
         raise ConfigError("h grid needs START > STOP > 0 and COUNT >= 1")
+    if count > _GRID_BUDGET:
+        raise ResourceError(f"h grid of {count} points is over the budget {_GRID_BUDGET}")
     grid = tuple(float(h) for h in np.geomspace(start, stop, count))
     hh = grid[-1] * grid[-1]
     if not (math.inf > hh > 0):
@@ -97,6 +100,8 @@ def cmd_halfspace(args) -> int:
     if args.check == "profile":
         if args.out is None:
             raise ConfigError("profile check needs --out for its CSV")
+        if args.count > _GRID_BUDGET:
+            raise ResourceError(f"profile of {args.count} points is over the budget {_GRID_BUDGET}")
         halfspace.profile_to_csv(args.d, np.linspace(0.0, args.T, args.count), args.out)
         return 0
     if args.check == "boundary-coefficient":
@@ -141,6 +146,10 @@ def cmd_localize(args) -> int:
 def cmd_fd(args) -> int:
     if args.out is None:
         raise ConfigError("fd needs --out for the spectrum CSV")
+    out = Path(args.out).resolve()
+    if Path(args.polygon).resolve() in (out, sidecar(out)):
+        raise ConfigError(f"fd would overwrite --polygon {args.polygon} with --out {args.out} "
+                          "or its .json sidecar")
     polygon = domains.load_polygon(args.polygon)
     op = assemble(polygon, args.step)
     spec = fd_spectrum(op, args.threshold)

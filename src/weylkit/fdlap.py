@@ -4,16 +4,15 @@
 inside the polygon (nodes on the boundary are Dirichlet-eliminated).
 Eigenvalue counting below a threshold uses the inertia of A - sigma*I
 (Sylvester's law) from a sparse symmetric LDL^T factorization, certified by
-its growth || |L||U| ||_inf / ||A - sigma*I||_inf and redone at a doubling
-upward nudge of sigma when it breaks down. Eigenvalue extraction slices the
-interval with those counts and solves each slice by shift-invert Lanczos (the
-slice from 0 at shift 0, on the LDL^T of A itself), or densely on small grids
-where Lanczos misses copies of a multiple eigenvalue.
+its growth || |L||U| ||_inf / ||A - sigma*I||_inf, or else a NumericsError.
+Eigenvalue extraction slices the interval with those counts and solves each
+slice by shift-invert Lanczos (the slice from 0 at shift 0, on the LDL^T of
+A itself), or densely on small grids where Lanczos misses copies of a
+multiple eigenvalue.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -25,11 +24,7 @@ from .domains import Polygon, lattice
 from .errors import ConfigError, NumericsError, ResourceError
 from .spectra import Spectrum
 
-log = logging.getLogger(__name__)
-
 PIVOT_TOL = 1e-12  # factorization breakdown when |pivot| < PIVOT_TOL * ||A||
-SHIFT_STEP = 1e-10  # first threshold perturbation, as a multiple of ||A||
-MAX_NUDGES = 16  # the last nudge is 2**15 * SHIFT_STEP = 3.3e-6 * ||A||
 MAX_GROWTH = 1e8  # breakdown when || |L||U| ||_inf > MAX_GROWTH * ||A - shift*I||_inf
 MAX_SLICE = 64  # eigenvalues per spectrum slice
 DEFAULT_EIG_BUDGET = 20000  # max eigenvalues per extraction; read at call time
@@ -110,7 +105,7 @@ def _sparse_inertia(
     SuperLU with a symmetric ordering and diagonal pivots gives P(A - shift*I)P^T
     = L U with U = D L^T. Without pivoting for size, a shift near an eigenvalue of
     a leading block can give the wrong inertia, so a tiny or off-diagonal pivot or
-    a large growth raises NumericsError and the caller retries with a new shift.
+    a large growth raises NumericsError.
     """
     shifted = (matrix - shift * sparse.identity(matrix.shape[0], format="csr")).tocsc()
     try:
@@ -129,28 +124,9 @@ def _sparse_inertia(
 
 
 def count_below(op: GridOperator, threshold: float) -> int:
-    """Matrix eigenvalues strictly below `threshold` via inertia.
-
-    If the factorization breaks down (threshold essentially equal to an
-    eigenvalue) the threshold is nudged by 2**attempt * SHIFT_STEP * ||A||
-    (the growth check rejects every shift within a fixed tiny distance of
-    an eigenvalue) and the shift used is reported through the module logger.
-    """
-    norm = op.norm_estimate
-    shift = float(threshold)
-    for attempt in range(MAX_NUDGES):
-        try:
-            return _sparse_inertia(op.matrix, shift, norm)[0]
-        except NumericsError:
-            shift = threshold + 2**attempt * SHIFT_STEP * norm
-            log.warning(
-                "factorization breakdown at threshold %r; retrying with shift %r",
-                threshold,
-                shift,
-            )
-    raise NumericsError(
-        f"factorization kept breaking down near threshold {threshold}"
-    )
+    """Matrix eigenvalues strictly below `threshold`: one inertia count, whose
+    breakdown at or within roundoff of an eigenvalue is a NumericsError."""
+    return _sparse_inertia(op.matrix, float(threshold), op.norm_estimate)[0]
 
 
 def eigenvalues_below(op: GridOperator, threshold: float) -> np.ndarray:
@@ -160,7 +136,10 @@ def eigenvalues_below(op: GridOperator, threshold: float) -> np.ndarray:
     holds at most MAX_SLICE eigenvalues, then shift-invert Lanczos per slice
     (see _solve_slice) with a spanning completeness certificate; a slice
     short of its inertia count is redone densely on grids of dimension up
-    to _DENSE_FALLBACK_MAX. The total is checked against count_below.
+    to _DENSE_FALLBACK_MAX; grids up to _DENSE_CUTOVER take one dense solve
+    instead. Either total is checked against count_below at `threshold`. A
+    breakdown of that count is a ConfigError: the threshold is at or within
+    roundoff of an eigenvalue. One at a split point is a NumericsError.
 
     Accuracy, measured against the closed-form spectrum of off-lattice
     rectangles at steps 1/64 (thresholds 200-1500) and 1/32 (3000-3900):
@@ -168,21 +147,21 @@ def eigenvalues_below(op: GridOperator, threshold: float) -> np.ndarray:
     slices redone densely, carry eigvalsh's error instead, which is
     absolute: a small multiple of 1e-16 ||A||.
     """
-    n_total = count_below(op, threshold)
+    try:
+        n_total = count_below(op, threshold)
+    except NumericsError as exc:
+        raise ConfigError(
+            f"threshold {threshold} is at or within roundoff of an eigenvalue of the grid "
+            "operator; choose another") from exc
     if n_total > DEFAULT_EIG_BUDGET:
         raise ResourceError(
             f"{n_total} eigenvalues below {threshold}, over the budget {DEFAULT_EIG_BUDGET}"
         )
-    if n_total == 0:
-        return np.empty(0)
     n = op.dim
-    if n <= _DENSE_CUTOVER:
-        ev = np.linalg.eigvalsh(op.matrix.toarray())
-        return ev[ev < threshold]
-
-    out = []
-    dense = None
-    stack = [(0.0, float(threshold), 0, n_total)]
+    out, dense, stack = [], None, [(0.0, float(threshold), 0, n_total)]
+    if n <= _DENSE_CUTOVER:  # one dense solve, checked below as the slices are
+        dense = np.linalg.eigvalsh(op.matrix.toarray())
+        out, stack = [dense[dense < threshold]], []
     while stack:
         lo, hi, c_lo, c_hi = stack.pop()
         k = c_hi - c_lo

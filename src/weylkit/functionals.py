@@ -53,6 +53,8 @@ def _check_h(h: float) -> None:
         raise ConfigError(f"h must be positive, got {h}")
     if h * h == 0 or 1.0 / (h * h) == math.inf:
         raise ConfigError(f"h={h!r} is too small: 1/h^2 is not finite")
+    if h * h == math.inf:  # 1/h^2 would be 0, and no eigenvalue, not even 0, below it
+        raise ConfigError(f"h={h!r} is too large: h^2 is not finite")
 
 
 def _below(spectrum: Spectrum, h: float) -> np.ndarray:

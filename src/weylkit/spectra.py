@@ -165,13 +165,18 @@ def spectrum_for(domain, cutoff: float) -> Spectrum:
     raise ConfigError(f"no exact spectrum generator for {type(domain).__name__}")
 
 
+def sidecar(csv_path) -> Path:
+    """The JSON sidecar of a spectrum CSV: the same name with a .json extension."""
+    csv_path = Path(csv_path)
+    return csv_path.parent / f"{csv_path.stem}.json"
+
+
 def save_spectrum(spectrum: Spectrum, csv_path) -> None:
     """One eigenvalue per row under header `lambda`; provenance and cutoff
-    go to a JSON sidecar, the same name with a .json extension."""
-    csv_path = Path(csv_path)
+    go to its `sidecar`."""
     write(csv_text(["lambda"], [spectrum.eigenvalues]), csv_path)
     write(json_text({"provenance": spectrum.provenance, "cutoff": spectrum.cutoff}),
-          csv_path.with_suffix(".json"))
+          sidecar(csv_path))
 
 
 def load_spectrum(csv_path) -> Spectrum:
@@ -181,5 +186,5 @@ def load_spectrum(csv_path) -> Spectrum:
     if not rows or rows[0] != ["lambda"]:
         raise ConfigError(f"{csv_path} is not a spectrum CSV (expected header 'lambda')")
     ev = np.array([float(r[0]) for r in rows[1:]])
-    meta = json.loads(csv_path.with_suffix(".json").read_text())
+    meta = json.loads(sidecar(csv_path).read_text())
     return Spectrum(ev, float(meta["cutoff"]), str(meta["provenance"]))

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import tempfile
 import time
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit import cli, fdlap, halfspace, localization
@@ -227,6 +229,59 @@ def test_localize_grid_budget_edge(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ResourceError"
 
 
+def test_count_budget_edge(tmp_path, monkeypatch, capsys):
+    """A profile's --count and an h grid's COUNT are points a command
+    evaluates: at the budget they run, past it they exit 4 before any array
+    is made, as do counts far past it."""
+    profile = ["halfspace", "--check", "profile", "--T", "4", "--out", str(tmp_path / "p.csv")]
+    sweep = ["sweep", "--domain", "square:1", "--h"]
+    monkeypatch.setattr(cli, "_GRID_BUDGET", 5)
+    assert main([*profile, "--count", "5"]) == 0
+    assert main([*sweep, "log:0.3:0.05:5"]) == 0
+    capsys.readouterr()
+
+    def unused(*args):
+        raise AssertionError("array made past the budget")
+
+    monkeypatch.setattr(cli.np, "linspace", unused)
+    monkeypatch.setattr(cli.np, "geomspace", unused)
+    for argv, message in (
+        ([*profile, "--count", "6"], "profile of 6 points is over the budget 5"),
+        ([*sweep, "log:0.3:0.05:6"], "h grid of 6 points is over the budget 5"),
+        ([*profile, "--count", str(10**12)], f"profile of {10**12} points is over the budget 5"),
+        (["fit", "--domain", "disk:1", "--h", f"log:0.3:0.05:{10**12}"],
+         f"h grid of {10**12} points is over the budget 5"),
+    ):
+        assert main(argv) == 4
+        assert capsys.readouterr().out == json.dumps(
+            {"error": {"type": "ResourceError", "message": message, "exit_code": 4}}) + "\n"
+
+
+def test_fd_out_never_overwrites_the_polygon(tmp_path, monkeypatch, capsys):
+    """--out clob.csv would write its sidecar to clob.json, and --out
+    clob.json the CSV itself: both are refused before assembly, naming both
+    paths, and the polygon file is unchanged."""
+    poly = tmp_path / "clob.json"
+    text = json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+    poly.write_text(text)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("assembled before --out was checked")
+
+    monkeypatch.setattr(cli, "assemble", fail)
+    (tmp_path / "sub").mkdir()
+    for out in ("clob.csv", "clob.json", "sub/../clob.csv"):
+        argv = ["fd", "--polygon", str(poly), "--step", "0.25", "--threshold", "50",
+                "--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"] == (f"fd would overwrite --polygon {poly} with --out "
+                                  f"{tmp_path / out} or its .json sidecar")
+        assert poly.read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clob.json", "sub"]
+
+
 @pytest.mark.parametrize("sides, cells", [(4, 26), (70, 26)])
 def test_normalization_seed_budget(tmp_path, monkeypatch, capsys, sides, cells):
     """The normalization seed is checked before its cells or rules are
@@ -409,18 +464,33 @@ def _argvs(draw):
     return argv + out
 
 
+def _run_as_a_user(argv):
+    """(exit code, stdout, stderr) of main(argv), with log records and
+    warnings written to stderr as a plain process writes them (under pytest
+    they would otherwise go to its own capture)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(stderr)
+    logging.getLogger().addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda *args: stderr.write(warnings.formatwarning(*args[:4]))
+            code = main(argv)
+    finally:
+        logging.getLogger().removeHandler(handler)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_argvs())
 def test_cli_fuzz_exits_with_json_error(argv):
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [a.replace("{tmp}", tmp) for a in argv]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+        code, stdout, stderr = _run_as_a_user([a.replace("{tmp}", tmp) for a in argv])
     assert code in (0, 2, 3, 4)
-    assert "Traceback" not in stderr.getvalue()
+    assert stderr == ""
     if code:
-        lines = stdout.getvalue().splitlines()
+        lines = stdout.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["exit_code"] == code
 
@@ -456,7 +526,8 @@ _CONSTANTS_ARGS = st.fixed_dictionaries({
 _FD_ARGS = st.fixed_dictionaries({
     "--polygon": _mostly(["{tmp}/p.json"], ["{tmp}/missing.json"]),
     "--step": _mostly(["0.25", "0.125", "0.0625"], ["0", "-1", "nan", "inf", "1e-300", "x"]),
-    "--threshold": _mostly(["50", "200", "600"], ["nan", "inf", "-5", "0"]),
+    # 64 is an eigenvalue of the square at step 0.25
+    "--threshold": _mostly(["50", "200", "600", "64"], ["nan", "inf", "-5", "0"]),
 })
 
 
@@ -479,20 +550,18 @@ def _more_argvs(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_more_argvs())
+@example((["fd", "--polygon", "{tmp}/p.json", "--step", "0.25", "--threshold", "64",
+           "--out", "{tmp}/o.csv"], _POLYGON_FILES["square"]))  # a threshold at an eigenvalue
 def test_cli_fuzz_more_commands(case):
     argv, polygon = case
     with tempfile.TemporaryDirectory() as tmp:
         with open(f"{tmp}/p.json", "w") as f:
             f.write(polygon)
-        argv = [a.replace("{tmp}", tmp) for a in argv]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+        code, stdout, stderr = _run_as_a_user([a.replace("{tmp}", tmp) for a in argv])
     assert code in (0, 2, 3, 4)
-    assert "Traceback" not in stderr.getvalue()
-    assert "Warning" not in stderr.getvalue()  # e.g. numpy's overflow RuntimeWarning
+    assert stderr == ""  # no traceback, warning or log line
     if code:
-        lines = stdout.getvalue().splitlines()
+        lines = stdout.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["exit_code"] == code
 

@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 import time
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+import weylkit.cli
 import weylkit.fdlap
 from weylkit.cli import main
 from weylkit.domains import Polygon, lshape_polygon
@@ -100,9 +100,9 @@ def test_sparse_inertia_on_random_lshapes(seed):
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     for thr in rng.uniform(dense[0] * 0.5, dense[-1] * 1.05, 10):
         assert count_below(op, float(thr)) == int((dense < thr).sum())
-    # 4/step^2 is a highly degenerate eigenvalue; a nudged count may
-    # include its copies but must never count anything else. Without the
-    # growth certificate, thresholds this close to it get wrong counts.
+    # 4/step^2 is a highly degenerate eigenvalue; a count this close to it
+    # either breaks down or lands within its copies, never counting anything
+    # else. Without the growth certificate, such thresholds get wrong counts.
     middle = 4.0 / step**2
     below, above = (dense < middle * (1 - 1e-6)).sum(), (dense < middle * (1 + 1e-6)).sum()
     for rel in (0.0, 1e-12, -1e-12, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9):
@@ -120,12 +120,30 @@ def test_count_monotone_in_threshold():
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-def test_threshold_at_eigenvalue_retries(caplog):
-    op = assemble(UNIT_SQUARE, 0.25)
-    dense = np.linalg.eigvalsh(op.matrix.toarray())
-    with caplog.at_level(logging.WARNING, logger="weylkit.fdlap"):
-        count_below(op, float(dense[3]))
-    assert any("retrying with shift" in r.message for r in caplog.records)
+@pytest.mark.parametrize("vertices, step, threshold, dim", [
+    pytest.param([[0, 0], [1, 0], [1, 1], [0, 1]], "0.25", "64", 9, id="square-dense"),
+    pytest.param([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]], "0.03125", "4096",
+                 705, id="lshape-sliced"),
+])
+def test_threshold_at_an_eigenvalue_is_refused(tmp_path, capsys, vertices, step, threshold, dim):
+    """64 is a triple eigenvalue of the unit square at step 1/4 (the dense
+    route) and 4096 = 4/step^2 a multiple one of the unit L-shape at step
+    1/32 (the sliced route). Both exit 2 with one JSON ConfigError, no CSV
+    and nothing on stderr."""
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"vertices": vertices}))
+    assert assemble(Polygon(vertices), float(step)).dim == dim  # 9 <= _DENSE_CUTOVER < 705
+    out = tmp_path / "o.csv"
+    assert main(["fd", "--polygon", str(poly), "--step", step, "--threshold", threshold,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == json.dumps({"error": {
+        "type": "ConfigError",
+        "message": f"threshold {float(threshold)} is at or within roundoff of an eigenvalue "
+                   "of the grid operator; choose another",
+        "exit_code": 2}}) + "\n"
+    assert not out.exists()
 
 
 def test_degenerate_middle_eigenvalue_falls_back_to_dense():
@@ -290,7 +308,7 @@ def test_fd_command_checks_out_before_assembly(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("assemble ran before --out was checked")
 
-    monkeypatch.setattr(weylkit.fdlap, "assemble", fail)
+    monkeypatch.setattr(weylkit.cli, "assemble", fail)
     assert main(["fd", "--polygon", str(poly), "--step", "0.0625", "--threshold", "120"]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ConfigError"
@@ -407,21 +425,38 @@ def _small_polygons(draw):
     return Polygon([(x0 + x, y0 + y) for x, y in corners]), step
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_small_polygons(), st.data())
 def test_inertia_and_slices_match_dense(grid, data):
-    """count_below equals the dense count and eigenvalues_below matches dense
-    eigvalsh within 1e-12 relative, at a threshold drawn inside a spectral gap
-    (between two eigenvalues at least 1e-6 ||A|| apart, or above the top)."""
+    """Thresholds drawn inside a spectral gap (between two eigenvalues at
+    least 1e-6 ||A|| apart, or above the top), or at an eigenvalue of dense
+    eigvalsh and up to 4 ulps either side of it. Each ends in one of three
+    ways: the ConfigError for a threshold at an eigenvalue, the certificate's
+    NumericsError, or as many eigenvalues as count_below gives. A threshold at
+    least 1e-9 ||A|| from every eigenvalue ends in the third, and then the
+    count is the dense count and the eigenvalues match dense eigvalsh within
+    1e-12 relative."""
     op = assemble(*grid)
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     below = data.draw(st.sampled_from(range(op.dim + 1)), label="below")
-    lower = dense[below - 1] if below > 0 else 0.0
-    upper = dense[below] if below < op.dim else 1.1 * dense[-1]
-    assume(upper - lower > 1e-6 * op.norm_estimate)
-    threshold = float(lower + data.draw(st.floats(0.25, 0.75), label="inside_gap") * (upper - lower))
-    assert count_below(op, threshold) == below
-    got = eigenvalues_below(op, threshold)
-    assert len(got) == below
-    if below:
-        assert np.max(np.abs(got - dense[:below]) / dense[:below]) <= 1e-12
+    if data.draw(st.booleans(), label="at_eigenvalue"):
+        at = dense[min(below, op.dim - 1)]
+        threshold = float(at + data.draw(st.integers(-4, 4), label="ulps") * np.spacing(at))
+    else:
+        lower = dense[below - 1] if below > 0 else 0.0
+        upper = dense[below] if below < op.dim else 1.1 * dense[-1]
+        assume(upper - lower > 1e-6 * op.norm_estimate)
+        threshold = float(lower + data.draw(st.floats(0.25, 0.75), label="inside_gap")
+                          * (upper - lower))
+    far = np.abs(dense - threshold).min() >= 1e-9 * op.norm_estimate
+    try:
+        got = eigenvalues_below(op, threshold)
+    except (ConfigError, NumericsError):
+        assert not far
+        return
+    assert len(got) == count_below(op, threshold)
+    if far:
+        ref = dense[dense < threshold]
+        assert len(got) == len(ref)
+        if len(ref):
+            assert np.max(np.abs(got - ref) / ref) <= 1e-12

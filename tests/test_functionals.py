@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weylkit.constants import constants
@@ -99,9 +99,10 @@ def test_completeness_error(square_50):
         counting_function(square_50, -1.0)
 
 
-@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 1.35e154, 1e200])
 def test_non_finite_h_rejected(square_50, h):
-    # nan <= 0 is False: h = nan used to count all 3 eigenvalues
+    # nan <= 0 is False: h = nan used to count all 3 eigenvalues; an h whose
+    # h^2 overflows made the threshold 1/h^2 = 0 and riesz_from_counting nan
     for query in (counting_function, riesz_mean, riesz_from_counting):
         with pytest.raises(ConfigError, match="finite"):
             query(square_50, h)
@@ -172,6 +173,41 @@ def test_riesz_equals_counting_integral():
     s = box_spectrum((1.0, 2.0), 900.0)
     for h in (0.3, 0.1, 0.0405):
         assert riesz_mean(s, h) == pytest.approx(riesz_from_counting(s, h), rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_riesz_mean_matches_counting_route(data):
+    """riesz_mean and riesz_from_counting agree within the stated
+    2^-50 (|riesz| + N) on random sorted spectra of any scale, with zeros,
+    ties and thresholds on an eigenvalue, at random h. A spectrum with a
+    positive eigenvalue below 2^-916 of the threshold may instead raise the
+    documented NumericsError, and an h whose h^2 overflows a ConfigError."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    size = data.draw(st.integers(0, 300), label="size")
+    scale = 10.0 ** data.draw(st.integers(-290, 290), label="exponent")
+    values = rng.uniform(0.0, 1.0, size) * scale
+    values[: data.draw(st.integers(0, 3), label="zeros")] = 0.0
+    if data.draw(st.booleans(), label="tiny"):  # past the exact range of the sum
+        values = np.append(values, scale * 1e-290)
+    lam = np.sort(np.repeat(values, rng.integers(1, 4, values.size)))  # ties
+    if lam.size and data.draw(st.booleans(), label="at_eigenvalue"):
+        threshold = lam[rng.integers(lam.size)]
+    else:
+        threshold = rng.uniform(0.01, 1.2) * scale
+    assume(threshold > 0)
+    h = 1.0 / math.sqrt(threshold)
+    spec = Spectrum(lam, 2.0 * max(1.0 / (h * h), lam.max(initial=0.0)), "exact-box")
+    try:
+        riesz = riesz_mean(spec, h)
+    except NumericsError as exc:
+        assert "outside its exact range" in str(exc)
+        return
+    except ConfigError as exc:  # a threshold below about 5.6e-309
+        assert "h^2 is not finite" in str(exc)
+        return
+    n = counting_function(spec, h)
+    assert abs(riesz_from_counting(spec, h) - riesz) <= 2.0**-50 * (abs(riesz) + n)
 
 
 def test_sweep_records(square_50):

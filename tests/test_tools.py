@@ -1,5 +1,10 @@
+import ast
 import importlib.util
 import json
+import logging
+import sys
+import types
+import warnings
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -39,3 +44,40 @@ def test_compare_names_cells_and_ulps(tmp_path):
         "w/s.csv: riesz 2 (max 1 ulp)",
         "4 of 5 files differ",
     ]
+
+
+def test_write_job_records_stderr(tmp_path, monkeypatch):
+    """Each job's output files are written, and its .stdout file holds its
+    standard output, error and standard error, warnings and log lines
+    included, also for a warning that an earlier job raised already."""
+    monkeypatch.chdir(tmp_path)
+    # log records and warnings as a plain process shows them: to stderr,
+    # each warning once per place (pytest would capture both itself)
+    monkeypatch.setattr(logging.root, "handlers", [])
+    monkeypatch.setattr(warnings, "showwarning",
+                        lambda *args: sys.stderr.write(warnings.formatwarning(*args[:4])))
+    warnings.simplefilter("default")
+
+    def run_job(job, work, main):  # the contract of bench/run.py's run_job
+        code = main(job["argv"])
+        return {"error": None if code == 0 else f"exit code {code}",
+                "outputs": {"stdout": "printed\n", "{work}/o.csv": b"a,b\r\n"}}
+
+    def main(argv):
+        logging.getLogger("weylkit.example").warning("log %s", argv[0])
+        warnings.warn("careful", RuntimeWarning)
+        print("to stderr", file=sys.stderr)
+        return len(argv) - 1
+
+    run = types.SimpleNamespace(_materialize=lambda job, work: None, run_job=run_job)
+    for i, argv in enumerate((["fd"], ["fd", "x"])):
+        outputs.write_job({"id": i, "kind": "fd", "argv": argv}, run, main)
+        assert (tmp_path / "o.csv").read_bytes() == b"a,b\r\n"
+    for i, error in enumerate(("None", "exit code 1")):
+        text = (tmp_path / f"00{i}-fd.stdout").read_text()
+        head, stderr = text.split("\nstderr ")
+        assert head == f"printed\nerror {error}"
+        stderr = ast.literal_eval(stderr)
+        assert stderr.startswith("log fd\n")
+        assert "RuntimeWarning: careful" in stderr
+        assert stderr.endswith("to stderr\n")

@@ -8,7 +8,8 @@ runner (bench/run.py) on ``weylkit.cli.main``, imported from --src, in this
 one process with BLAS/OpenMP capped at one thread. Each job runs in
 DIR/<workload>/ with its ``{work}`` directory set to ".", so the files it
 writes land there and no path in them depends on DIR. Next to them,
-<id>-<kind>.stdout holds the job's standard output and its error, if any.
+<id>-<kind>.stdout holds the job's standard output, its error, if any, and
+what it wrote to standard error (a warning or a log line, say).
 
 Run it once per source tree, each into its own DIR, and compare with
 ``diff -rq DIR_A DIR_B``: every file named there is an output that
@@ -23,6 +24,7 @@ column or field path, with the largest distance in units in the last place
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -30,6 +32,7 @@ import json
 import os
 import struct
 import sys
+import warnings
 from collections import defaultdict
 from pathlib import Path
 
@@ -104,6 +107,21 @@ def compare(base: Path, head: Path) -> list[str]:
     return lines
 
 
+def write_job(job, run, main) -> None:
+    """Run one job in the current directory through the benchmark's runner
+    module `run`, and write its output files and <id>-<kind>.stdout there."""
+    run._materialize(job, ".")
+    stderr = io.StringIO()
+    # a fresh warnings registry per job shows each job's warnings as its own process would
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        rec = run.run_job(job, ".", main)
+    stdout = rec["outputs"].pop("stdout")
+    for name, data in rec["outputs"].items():
+        Path(name.replace("{work}", ".")).write_bytes(data)
+    Path(f"{job['id']:03d}-{job['kind']}.stdout").write_text(
+        f"{stdout}error {rec['error']}\nstderr {stderr.getvalue()!r}\n")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", help="directory that holds the weylkit package")
@@ -133,13 +151,7 @@ def main() -> int:
         os.chdir(out / workload)
         try:
             for job in itertools.islice(job_stream(workload, SEED), JOBS):
-                run._materialize(job, ".")
-                rec = run.run_job(job, ".", cli.main)
-                stdout = rec["outputs"].pop("stdout")
-                for name, data in rec["outputs"].items():
-                    Path(name.replace("{work}", ".")).write_bytes(data)
-                Path(f"{job['id']:03d}-{job['kind']}.stdout").write_text(
-                    f"{stdout}error {rec['error']}\n")
+                write_job(job, run, cli.main)
         finally:
             os.chdir(here)
         print(f"{workload}: {JOBS} jobs -> {out / workload}", flush=True)
