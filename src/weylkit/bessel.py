@@ -37,7 +37,6 @@ import math
 from collections.abc import Iterator
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, InvariantViolation
 
@@ -214,6 +213,8 @@ def _miller(nu: float, x: np.ndarray) -> np.ndarray:
 def _j(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """J at points x >= 0, where nu holds one checked order per point. A
     point's value does not depend on the other points of the batch."""
+    from scipy.special import gammaln
+
     out = np.empty_like(x)
     zero = x == 0.0
     out[zero] = nu[zero] == 0  # J_0(0) = 1, J_nu(0) = 0 otherwise

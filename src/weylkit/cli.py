@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,9 @@ def cmd_fd(args) -> int:
     if Path(args.polygon).resolve() in (out, sidecar(out)):
         raise ConfigError(f"fd would overwrite --polygon {args.polygon} with --out {args.out} "
                           "or its .json sidecar")
+    if sidecar(out) == out:
+        raise ConfigError(f"fd --out {args.out} would be overwritten by its own .json sidecar; "
+                          "name the spectrum CSV with another extension")
     polygon = domains.load_polygon(args.polygon)
     op = assemble(polygon, args.step)
     spec = fd_spectrum(op, args.threshold)
@@ -184,6 +188,7 @@ _FINITE = _checked(float, math.isfinite, "a finite number")
 _COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
 
 
+@cache  # built once per process; argparse keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="weylkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

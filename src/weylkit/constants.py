@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -85,6 +83,8 @@ def phase_space_integral(d: int, power: int) -> float:
     route is independent of the 2/(d+2) closed form and is the oracle
     used to cross-check `constants`.
     """
+    from scipy.integrate import quad
+
     surface = d * constants(d).omega_d  # checks d
     if power not in (0, 1):
         raise ConfigError(f"power must be 0 or 1, got {power!r}")

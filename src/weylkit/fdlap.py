@@ -9,20 +9,30 @@ Eigenvalue extraction slices the interval with those counts and solves each
 slice by shift-invert Lanczos (the slice from 0 at shift 0, on the LDL^T of
 A itself), or densely on small grids where Lanczos misses copies of a
 multiple eigenvalue.
+
+scipy.sparse is imported inside the functions that use it, so that importing
+the package (and every command but `fd`) does not pay for it. `eigsh` is a
+module-level function that imports ARPACK at its first call, and
+`_solve_slice` calls it through the module global: callers that replace
+`fdlap.eigsh` by name (a span tracer, a test forcing a non-convergence) then
+still see every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
 from .domains import Polygon, lattice
 from .errors import ConfigError, NumericsError, ResourceError
 from .spectra import Spectrum
+
+if TYPE_CHECKING:
+    from scipy import sparse
+    from scipy.sparse.linalg import SuperLU
 
 PIVOT_TOL = 1e-12  # factorization breakdown when |pivot| < PIVOT_TOL * ||A||
 MAX_GROWTH = 1e8  # breakdown when || |L||U| ||_inf > MAX_GROWTH * ||A - shift*I||_inf
@@ -59,6 +69,8 @@ class GridOperator:
 
 def assemble(polygon: Polygon, step: float) -> GridOperator:
     """Build the operator; deterministic node order, Dirichlet truncation."""
+    from scipy import sparse
+
     if not 0 < step < math.inf:
         raise ConfigError(f"grid step must be positive and finite, got {step}")
     v = polygon.vertices
@@ -107,6 +119,9 @@ def _sparse_inertia(
     a leading block can give the wrong inertia, so a tiny or off-diagonal pivot or
     a large growth raises NumericsError.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     shifted = (matrix - shift * sparse.identity(matrix.shape[0], format="csr")).tocsc()
     try:
         lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -188,6 +203,13 @@ def eigenvalues_below(op: GridOperator, threshold: float) -> np.ndarray:
     return ev
 
 
+def eigsh(*args, **kwargs):
+    """scipy.sparse.linalg.eigsh, imported at the first call."""
+    from scipy.sparse.linalg import eigsh as arpack_eigsh
+
+    return arpack_eigsh(*args, **kwargs)
+
+
 def _solve_slice(op: GridOperator, lo: float, hi: float, k: int, top: bool) -> np.ndarray:
     """Eigenvalues in [lo, hi) by shift-invert Lanczos.
 
@@ -205,6 +227,8 @@ def _solve_slice(op: GridOperator, lo: float, hi: float, k: int, top: bool) -> n
     grows until that happens (the totals are still checked against the inertia
     count by the caller).
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
+
     if lo <= 0.0:
         negative, lu = _sparse_inertia(op.matrix, 0.0, op.norm_estimate)
         if negative:

@@ -30,7 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bessel import bessel_j, zeros_below
 from .constants import TWO_PI, constants, gamma_half, phase_space_integral
@@ -55,6 +54,8 @@ def _check_dim(d: int) -> int:
 @lru_cache(maxsize=None)
 def _norms(d: int) -> tuple[float, float]:
     """(quadrature-route constant, Bessel-route constant) for dimension d."""
+    from scipy.integrate import quad
+
     psi1 = phase_space_integral(d, 1)
     i0, _ = quad(lambda s: (1.0 - s * s) ** ((d + 1) / 2.0), 0.0, 1.0, epsabs=1e-14)
     c_quad = psi1 / i0
@@ -92,6 +93,8 @@ def cosine_integral(d: int, t):
     differ by more than DUAL_EVAL_TOL, otherwise returns the Bessel-form
     values.
     """
+    from scipy.integrate import quad
+
     d = _check_dim(d)
     ts = np.asarray(t, dtype=float)
     if (ts <= 0).any():

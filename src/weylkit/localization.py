@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import constants
 from .domains import Box, Disk, lattice
@@ -122,6 +121,8 @@ def jacobian_factor(sf: ScaleFunction, x, u) -> float:
 @lru_cache(maxsize=None)
 def _bump_constant(d: int) -> float:
     # c with int (c exp(-1/(1-|z|^2)))^2 dz = 1 over the unit ball
+    from scipy.integrate import quad
+
     val, _ = quad(lambda r: math.exp(-2.0 / (1.0 - r * r)) * r ** (d - 1), 0.0, 1.0)
     return 1.0 / math.sqrt(d * constants(d).omega_d * val)
 

@@ -3,9 +3,13 @@ import io
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -280,6 +284,29 @@ def test_fd_out_never_overwrites_the_polygon(tmp_path, monkeypatch, capsys):
                                   f"{tmp_path / out} or its .json sidecar")
         assert poly.read_text() == text
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clob.json", "sub"]
+
+
+def test_fd_out_json_is_refused(tmp_path, monkeypatch, capsys):
+    """--out spec.json would have its CSV overwritten by its sidecar, which is
+    the same file: refused before assembly, and nothing is written."""
+    poly = tmp_path / "sq.json"
+    text = json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+    poly.write_text(text)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("assembled before --out was checked")
+
+    monkeypatch.setattr(cli, "assemble", fail)
+    out = tmp_path / "spec.json"
+    argv = ["fd", "--polygon", str(poly), "--step", "0.25", "--threshold", "50", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == json.dumps({"error": {
+        "type": "ConfigError",
+        "message": f"fd --out {out} would be overwritten by its own .json sidecar; name the "
+                   "spectrum CSV with another extension",
+        "exit_code": 2}}) + "\n"
+    assert poly.read_text() == text
+    assert [p.name for p in tmp_path.iterdir()] == ["sq.json"]
 
 
 @pytest.mark.parametrize("sides, cells", [(4, 26), (70, 26)])
@@ -686,3 +713,45 @@ def test_reruns_byte_identical(tmp_path, capsys):
             ["fd", "--polygon", str(poly), "--step", str(1 / 24), "--threshold", "900", "--out", str(out)]
         ) == 0
     assert sa.read_bytes() == sb.read_bytes()
+
+
+def test_one_process_runs_commands_as_fresh_ones(tmp_path, monkeypatch):
+    """main builds its parser once per process: commands run in turn in one
+    process, with argument errors and refusals between them, exit, print and
+    write exactly what each does in a fresh process."""
+    monkeypatch.chdir(tmp_path)
+    Path("sq.json").write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    argvs = [
+        ["constants", "--d", "3"],
+        ["sweep", "--domain", "disk:1", "--h", "log:0.3:0.05:5", "--out", "s.csv"],
+        ["fit", "--domain", "disk:1", "--h", "log:0.3"],  # bad h grid: exit 2
+        ["fd", "--polygon", "sq.json", "--step", "0.25", "--threshold", "64"],  # no --out
+        ["sweep", "--domain", "disk:1", "--h", "log:0.3:0.05:5", "--bogus", "1"],
+        ["fd", "--polygon", "sq.json", "--step", "0.25", "--threshold", "50", "--out", "f.csv"],
+        ["constants"],  # --d is required
+        ["fit", "--domain", "square:1", "--h", "log:0.1:0.008:10"],
+    ]
+    made = ("s.csv", "f.csv", "f.json")
+
+    def outputs():
+        files = {name: Path(name).read_bytes() for name in made if Path(name).exists()}
+        for name in files:
+            os.remove(name)
+        return files
+
+    in_process = []
+    for argv in argvs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        in_process.append((code, buf.getvalue(), outputs()))
+    src = Path(cli.__file__).resolve().parents[1]
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "weylkit.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stderr == ""
+        fresh.append((proc.returncode, proc.stdout, outputs()))
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 2, 2, 0, 2, 0]
+    assert in_process == fresh
