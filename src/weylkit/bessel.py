@@ -29,6 +29,18 @@ of several steps in one call (see `_refine`): at most 9 `_j` calls after
 the scan's one, each zero bitwise that of one step at a time.
 Consecutive orders are checked to interlace. Asymptotic spacing
 estimates are used only to size the scan window.
+
+Zeros found once are kept for the process, in one table that maps each
+order to the largest x_max scanned so far and its zeros below it. An
+order's scan grid, `arange(max(nu, 1e-3), x_max + 2 SCAN_STEP, SCAN_STEP)`,
+has the same points for every x_max, and each bracket is refined on its
+own, so the zeros below x <= X are bitwise a prefix of the zeros below
+X: a request the table covers is served as `stored[stored < x]`, a new
+array, and only the other orders of a pass are scanned. The interlacing
+check runs on every request, stored zeros included, and a pass's new
+zeros enter the table only after it passes. A pass that would take the table
+over ZERO_TABLE_BUDGET zeros is returned and not stored. A request past
+an order's scanned range scans that order again and replaces its entry.
 """
 
 from __future__ import annotations
@@ -47,6 +59,11 @@ _SERIES_LOG_GUARD = math.log(1e5)
 
 SCAN_STEP = 1.0  # zero scan; must stay below the minimal zero gap (> 3) to skip none
 PASS_POINTS = 1 << 16  # scan-grid points per batched zero pass; bounds its memory
+ZERO_TABLE_BUDGET = 1 << 20  # zeros the process keeps (8 MB); a pass over it is not stored
+
+# order -> (largest x_max scanned, its certified zeros below that x_max)
+_ZERO_TABLE: dict[float, tuple[float, np.ndarray]] = {}
+
 
 def _check_order(nu: float) -> float:
     nu = float(nu)
@@ -378,20 +395,45 @@ def zeros_below_orders(orders, x_max: float) -> Iterator[np.ndarray]:
     share one batched pass while their grids start within the same window
     of PASS_POINTS grid points, and a pass runs only when its first order
     is asked for: memory stays bounded and a caller that stops early skips
-    the later passes. Raises InvariantViolation if the zeros of
-    consecutive orders do not interlace.
+    the later passes. An order the zero table has scanned to x_max or
+    beyond is served from it and takes no room in a pass. Raises
+    InvariantViolation if the zeros of consecutive orders do not
+    interlace.
     """
     orders = [_check_order(nu) for nu in orders]
     runs, at = {}, 0.0
     for nu in orders:
         runs.setdefault(int(at // PASS_POINTS), []).append(nu)
-        at += max(x_max - nu + 2.0, 0.0)  # about the size of nu's grid
+        if _stored(nu, x_max) is None:
+            at += max(x_max - nu + 2.0, 0.0)  # about the size of nu's grid
     prev_nu, prev_z = [], []
     for run in runs.values():
-        zeros = _zeros_pass(run, x_max)
+        zeros = [_stored(nu, x_max) for nu in run]
+        miss = [i for i, z in enumerate(zeros) if z is None]
+        if miss:
+            for i, z in zip(miss, _zeros_pass([run[i] for i in miss], x_max)):
+                zeros[i] = z
         _check_interlacing(prev_nu + run, prev_z + zeros, x_max)
+        _store({run[i]: zeros[i] for i in miss}, x_max)
         prev_nu, prev_z = run[-1:], zeros[-1:]
         yield from zeros
+
+
+def _stored(nu: float, x_max: float) -> np.ndarray | None:
+    """A new array of the stored zeros of J_nu below x_max, or None if the
+    table has not scanned nu that far."""
+    entry = _ZERO_TABLE.get(nu)
+    if entry is None or not x_max <= entry[0]:
+        return None
+    return entry[1][entry[1] < x_max]
+
+
+def _store(found: dict[float, np.ndarray], x_max: float) -> None:
+    """Keep copies of a certified pass's zeros below x_max, replacing the
+    entries of its orders, unless that takes the table over its budget."""
+    kept = sum(z.size for nu, (_, z) in _ZERO_TABLE.items() if nu not in found)
+    if kept + sum(z.size for z in found.values()) <= ZERO_TABLE_BUDGET:
+        _ZERO_TABLE.update((nu, (x_max, z.copy())) for nu, z in found.items())
 
 
 def zeros_below(nu: float, x_max: float) -> np.ndarray:

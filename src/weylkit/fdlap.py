@@ -39,6 +39,10 @@ MAX_GROWTH = 1e8  # breakdown when || |L||U| ||_inf > MAX_GROWTH * ||A - shift*I
 MAX_SLICE = 64  # eigenvalues per spectrum slice
 DEFAULT_EIG_BUDGET = 20000  # max eigenvalues per extraction; read at call time
 LATTICE_BUDGET = 2**20  # points in assemble's lattice box; its peak is about 0.3 GB there
+# interior nodes, checked before any factorization: on the unit L-shape at
+# 130,208 nodes count_below peaks at 0.31 GB RSS and eigenvalues_below (78
+# eigenvalues below 1500) at 0.37 GB; a count at 195,585 nodes took 0.45 GB
+NODE_BUDGET = 2**17
 # implicit restarts per eigsh call: 10x the 20 that the unit L-shape at step
 # 1/64 below 16400.384 needs (tests, demos and benchmark jobs need at most 11);
 # a slice that has not converged by then is refused in seconds, not minutes
@@ -68,7 +72,9 @@ class GridOperator:
 
 
 def assemble(polygon: Polygon, step: float) -> GridOperator:
-    """Build the operator; deterministic node order, Dirichlet truncation."""
+    """Build the operator; deterministic node order, Dirichlet truncation.
+    A lattice box over LATTICE_BUDGET points or more than NODE_BUDGET
+    interior nodes is a ResourceError, before any matrix is built."""
     from scipy import sparse
 
     if not 0 < step < math.inf:
@@ -87,6 +93,9 @@ def assemble(polygon: Polygon, step: float) -> GridOperator:
     nodes = box[polygon.contains(box * step)]
     if len(nodes) == 0:
         raise ConfigError(f"step {step} leaves no interior nodes in the polygon")
+    if len(nodes) > NODE_BUDGET:
+        raise ResourceError(
+            f"step {step!r} leaves {len(nodes)} interior nodes, over the budget {NODE_BUDGET}")
     order = np.lexsort((nodes[:, 0], nodes[:, 1]))  # by y, then x
     nodes = nodes[order]
     # row-major keys over the lattice box are sorted in the node order; the

@@ -511,10 +511,18 @@ def test_interlacing_certificate(monkeypatch, pass_points):
             z[first[0]] += 3.5
         return z
 
+    bessel._ZERO_TABLE.clear()  # else the stored zeros of `good` would answer
     monkeypatch.setattr(bessel, "_refine", shifted)
     with pytest.raises(InvariantViolation):
         list(zeros_below_orders(orders, 30.0))
     assert main(["fit", "--domain", "disk:1", "--h", "log:0.2:0.05:5"]) == 3
+    # zeros that failed the check were not stored: once _refine is restored,
+    # the same calls succeed
+    assert 1.0 not in bessel._ZERO_TABLE
+    monkeypatch.setattr(bessel, "_refine", refine)
+    again = list(zeros_below_orders(orders, 30.0))
+    assert [z.tobytes() for z in again] == [z.tobytes() for z in good]
+    assert main(["sweep", "--domain", "disk:1", "--h", "log:0.2:0.05:5"]) == 0
 
 
 @pytest.mark.parametrize("ladder", [0.0, 0.5])
@@ -525,6 +533,7 @@ def test_passes_do_not_move_zeros(monkeypatch, ladder):
     assert len(whole) == len(orders)
     for pass_points in (1, 7, 150):
         monkeypatch.setattr(bessel, "PASS_POINTS", pass_points)
+        bessel._ZERO_TABLE.clear()  # each split scans every order again
         for a, b in zip(whole, zeros_below_orders(orders, 47.0), strict=True):
             assert a.tobytes() == b.tobytes()
 
@@ -545,3 +554,73 @@ def test_spectrum_stops_after_first_empty_order(monkeypatch, d, build):
     assert got.tobytes() == _ref_bessel_spectrum(d, 1.0, 400.0).tobytes()
     first_empty = next(nu for nu in seen if _ref_zeros_below(nu, 20.0).size == 0)
     assert seen[-1] == first_empty < 19.0
+
+
+def _cold(nu, x_max):
+    """zeros_below(nu, x_max) with nothing stored, leaving the table as it was."""
+    saved = dict(bessel._ZERO_TABLE)
+    bessel._ZERO_TABLE.clear()
+    try:
+        return zeros_below(nu, x_max)
+    finally:
+        bessel._ZERO_TABLE.clear()
+        bessel._ZERO_TABLE.update(saved)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(nu=st.integers(0, 200).map(lambda n: n / 2.0),
+       big=st.floats(0.0, 1000.0), frac=st.floats(0.0, 1.0))
+@example(nu=0.0, big=1000.0, frac=0.5)
+@example(nu=3.0, big=21.0, frac=1.0)  # x = X
+@example(nu=40.0, big=130.0, frac=0.3)  # x below the first zero
+def test_stored_zeros_are_the_cold_bytes(nu, big, frac):
+    """The zeros below x read from the table after a scan to X >= x are
+    bitwise those of a cold scan to x, and the entry keeps the larger X."""
+    bessel._ZERO_TABLE.clear()  # the fixture clears it once per test, not per example
+    x = big * frac
+    want_big = _cold(nu, big)
+    assert zeros_below(nu, big).tobytes() == want_big.tobytes()
+    assert zeros_below(nu, x).tobytes() == _cold(nu, x).tobytes()
+    assert bessel._ZERO_TABLE[nu][0] == big
+
+
+@pytest.mark.parametrize("d, build", [(2, disk_spectrum), (3, ball_spectrum)])
+def test_spectra_after_a_larger_one_are_the_cold_bytes(monkeypatch, d, build):
+    """Each spectrum built after a larger one, which leaves every order it
+    needs in the table, is bitwise the reference's and makes no pass."""
+    zeros_pass = bessel._zeros_pass
+    for radius, cutoff in ((1.0, 2500.0), (0.9, 1500.0), (1.2, 900.0), (0.5, 400.0)):
+        build(1.0, 2600.0)
+        monkeypatch.setattr(bessel, "_zeros_pass", None)
+        got = build(radius, cutoff).eigenvalues
+        monkeypatch.setattr(bessel, "_zeros_pass", zeros_pass)
+        assert got.tobytes() == _ref_bessel_spectrum(d, radius, cutoff).tobytes()
+
+
+def test_stored_zeros_are_not_handed_out():
+    """A caller that writes into a returned array, stored or just found,
+    does not change the next answer."""
+    want = _ref_zeros_below(2.0, 60.0)
+    first = zeros_below(2.0, 60.0)
+    first[:] = 0.0
+    again = zeros_below(2.0, 60.0)
+    assert again.tobytes() == want.tobytes()
+    again *= 2.0
+    assert zeros_below(2.0, 60.0).tobytes() == want.tobytes()
+    assert zeros_below(2.0, 30.0).tobytes() == want[want < 30.0].tobytes()
+
+
+def test_table_budget(monkeypatch):
+    """A pass whose zeros would take the table over ZERO_TABLE_BUDGET is
+    returned and not stored; what was stored before stays."""
+    monkeypatch.setattr(bessel, "ZERO_TABLE_BUDGET", 20)
+    small = zeros_below(0.0, 30.0)  # 9 zeros
+    assert bessel._ZERO_TABLE[0.0][1].size == small.size == 9
+    big = zeros_below(1.0, 50.0)  # 15 zeros: 24 > 20
+    assert big.tobytes() == _ref_zeros_below(1.0, 50.0).tobytes()
+    assert list(bessel._ZERO_TABLE) == [0.0]
+    # replacing an entry counts only its new size: 16 <= 20
+    assert zeros_below(0.0, 50.0).size == 16
+    assert bessel._ZERO_TABLE[0.0][0] == 50.0
+    monkeypatch.setattr(bessel, "_zeros_pass", None)  # served from the table alone
+    assert zeros_below(0.0, 30.0).tobytes() == small.tobytes()

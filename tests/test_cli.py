@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit import cli, fdlap, halfspace, localization
+from weylkit import bessel, cli, fdlap, halfspace, localization
 from weylkit.cli import main, parse_domain, parse_h_grid
 from weylkit.domains import Box, Disk
 from weylkit.errors import ConfigError
@@ -654,6 +654,28 @@ def test_fd_lattice_budget_edge(tmp_path, monkeypatch, capsys):
         "step 0.25 makes a lattice box of 49 points, over the budget 48")
 
 
+def test_fd_node_budget_edge(tmp_path, monkeypatch, capsys):
+    """The unit square at step 1/4 keeps 9 interior nodes: at the node budget
+    it runs, past it it exits 4 before any factorization."""
+    poly = tmp_path / "p.json"
+    poly.write_text('{"vertices": %s}' % _SQUARE)
+    argv = ["fd", "--polygon", str(poly), "--step", "0.25", "--threshold", "100",
+            "--out", str(tmp_path / "o.csv")]
+    monkeypatch.setattr(fdlap, "NODE_BUDGET", 9)
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    def unused(*args, **kwargs):
+        raise AssertionError("factorization past the budget")
+
+    monkeypatch.setattr(fdlap, "_sparse_inertia", unused)
+    monkeypatch.setattr(fdlap, "NODE_BUDGET", 8)
+    assert main(argv) == 4
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "ResourceError", "exit_code": 4,
+        "message": "step 0.25 leaves 9 interior nodes, over the budget 8"}
+
+
 def test_polygon_domain_spec_errors(tmp_path, capsys):
     """A polygon file that Polygon refuses reports its own ConfigError
     (was "bad domain spec" with numpy's message)."""
@@ -730,8 +752,16 @@ def test_one_process_runs_commands_as_fresh_ones(tmp_path, monkeypatch):
         ["fd", "--polygon", "sq.json", "--step", "0.25", "--threshold", "50", "--out", "f.csv"],
         ["constants"],  # --d is required
         ["fit", "--domain", "square:1", "--h", "log:0.1:0.008:10"],
+        # later disk and half-space jobs read zeros an earlier one stored
+        ["fit", "--domain", "disk:1.2", "--h", "log:0.2:0.015:8"],
+        ["sweep", "--domain", "disk:0.9", "--h", "log:0.2:0.03:6", "--out", "d1.csv"],
+        ["sweep", "--domain", "disk:1.1", "--h", "log:0.2:0.04:6", "--out", "d2.csv"],
+        ["halfspace", "--d", "3", "--check", "boundary-coefficient", "--T", "400"],
+        ["halfspace", "--d", "3", "--check", "tail", "--T", "400"],
+        ["halfspace", "--d", "3", "--check", "boundary-coefficient", "--T", "250"],
+        ["halfspace", "--d", "3", "--check", "tail", "--T", "250"],
     ]
-    made = ("s.csv", "f.csv", "f.json")
+    made = ("s.csv", "f.csv", "f.json", "d1.csv", "d2.csv")
 
     def outputs():
         files = {name: Path(name).read_bytes() for name in made if Path(name).exists()}
@@ -745,6 +775,8 @@ def test_one_process_runs_commands_as_fresh_ones(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(buf):
             code = main(argv)
         in_process.append((code, buf.getvalue(), outputs()))
+    # the smaller disks and horizons were served from these scans
+    assert bessel._ZERO_TABLE[0.0][0] > 80.0 and bessel._ZERO_TABLE[2.5][0] == 800.0
     src = Path(cli.__file__).resolve().parents[1]
     fresh = []
     for argv in argvs:
@@ -753,5 +785,5 @@ def test_one_process_runs_commands_as_fresh_ones(tmp_path, monkeypatch):
                               capture_output=True, text=True, timeout=120)
         assert proc.stderr == ""
         fresh.append((proc.returncode, proc.stdout, outputs()))
-    assert [code for code, _, _ in in_process] == [0, 0, 2, 2, 2, 0, 2, 0]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 2, 2, 0, 2, 0] + [0] * 7
     assert in_process == fresh

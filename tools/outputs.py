@@ -13,7 +13,11 @@ what it wrote to standard error (a warning or a log line, say).
 
 Run it once per source tree, each into its own DIR, and compare with
 ``diff -rq DIR_A DIR_B``: every file named there is an output that
-differs. bench/ is only read.
+differs. bench/ is only read. Because a workload's jobs share one
+process, later disk and half-space jobs read the Bessel zeros that
+earlier ones stored (see ``weylkit.bessel``), so an empty diff also
+checks the warm-table bytes; the tier-1 tests, which start each test
+with an empty table, cover the cold path.
 
     python3 tools/outputs.py --compare BASE HEAD
 
