@@ -38,9 +38,12 @@ own, so the zeros below x <= X are bitwise a prefix of the zeros below
 X: a request the table covers is served as `stored[stored < x]`, a new
 array, and only the other orders of a pass are scanned. The interlacing
 check runs on every request, stored zeros included, and a pass's new
-zeros enter the table only after it passes. A pass that would take the table
-over ZERO_TABLE_BUDGET zeros is returned and not stored. A request past
-an order's scanned range scans that order again and replaces its entry.
+zeros enter the table only after they pass it against each neighbouring
+order of the request: the last order of a pass waits for the next
+pass's check, unless its pass is the request's last. New zeros that
+would take the table over ZERO_TABLE_BUDGET zeros are returned and not
+stored. A request past an order's scanned range scans that order again
+and replaces its entry.
 """
 
 from __future__ import annotations
@@ -404,17 +407,22 @@ def zeros_below_orders(orders, x_max: float) -> Iterator[np.ndarray]:
     runs, at = {}, 0.0
     for nu in orders:
         runs.setdefault(int(at // PASS_POINTS), []).append(nu)
-        if _stored(nu, x_max) is None:
+        if not x_max <= _ZERO_TABLE.get(nu, (-math.inf,))[0]:  # not stored that far
             at += max(x_max - nu + 2.0, 0.0)  # about the size of nu's grid
-    prev_nu, prev_z = [], []
-    for run in runs.values():
+    runs = list(runs.values())
+    prev_nu, prev_z, held = [], [], {}
+    for r, run in enumerate(runs):
         zeros = [_stored(nu, x_max) for nu in run]
         miss = [i for i, z in enumerate(zeros) if z is None]
         if miss:
             for i, z in zip(miss, _zeros_pass([run[i] for i in miss], x_max)):
                 zeros[i] = z
         _check_interlacing(prev_nu + run, prev_z + zeros, x_max)
-        _store({run[i]: zeros[i] for i in miss}, x_max)
+        found = held | {run[i]: zeros[i] for i in miss}
+        # a run's last order is stored once it interlaces with the next run too
+        held = {run[-1]: found.pop(run[-1])} if r + 1 < len(runs) and run[-1] in found else {}
+        if found:
+            _store(found, x_max)
         prev_nu, prev_z = run[-1:], zeros[-1:]
         yield from zeros
 
@@ -429,8 +437,8 @@ def _stored(nu: float, x_max: float) -> np.ndarray | None:
 
 
 def _store(found: dict[float, np.ndarray], x_max: float) -> None:
-    """Keep copies of a certified pass's zeros below x_max, replacing the
-    entries of its orders, unless that takes the table over its budget."""
+    """Keep copies of certified zeros below x_max, replacing the entries of
+    their orders, unless that takes the table over its budget."""
     kept = sum(z.size for nu, (_, z) in _ZERO_TABLE.items() if nu not in found)
     if kept + sum(z.size for z in found.values()) <= ZERO_TABLE_BUDGET:
         _ZERO_TABLE.update((nu, (x_max, z.copy())) for nu, z in found.items())
