@@ -12,6 +12,12 @@ three routes chosen per point:
   * downward (Miller) recurrence with Neumann-series normalization when
     x < nu and the series is unsafe.
 
+The route choice estimates the largest series term with math.lgamma
+values read from one table, indexed by twice the (half-)integer argument
+and grown by doubling up to LGAMMA_TABLE_BUDGET entries; larger arguments
+take one lgamma call per distinct value. The series' first term reads the
+same table.
+
 The evaluator takes one order per point. The series and the Hankel
 expansion stop each point on its own terms, and Miller rescales each
 point on its own, so a value never depends on the rest of its batch: it
@@ -63,9 +69,31 @@ _SERIES_LOG_GUARD = math.log(1e5)
 SCAN_STEP = 1.0  # zero scan; must stay below the minimal zero gap (> 3) to skip none
 PASS_POINTS = 1 << 16  # scan-grid points per batched zero pass; bounds its memory
 ZERO_TABLE_BUDGET = 1 << 20  # zeros the process keeps (8 MB); a pass over it is not stored
+LGAMMA_TABLE_BUDGET = 1 << 18  # lgamma(i/2) entries kept (2 MB): arguments up to 2^17
 
 # order -> (largest x_max scanned, its certified zeros below that x_max)
 _ZERO_TABLE: dict[float, tuple[float, np.ndarray]] = {}
+# entry i is math.lgamma(i / 2); grown by doubling up to LGAMMA_TABLE_BUDGET
+_LGAMMA = np.full(1, math.inf)
+
+
+def _lgamma(a: np.ndarray) -> np.ndarray:
+    """math.lgamma at integer or half-integer points a >= 1/2, bitwise: read
+    from a table indexed by 2a while 2a < LGAMMA_TABLE_BUDGET, else one
+    call per distinct value."""
+    global _LGAMMA
+    out = np.empty_like(a)
+    near = 2.0 * a < LGAMMA_TABLE_BUDGET
+    idx = (2.0 * a[near]).astype(np.intp)
+    if idx.size and idx.max() >= _LGAMMA.size:
+        size = min(LGAMMA_TABLE_BUDGET, 1 << int(idx.max()).bit_length())
+        _LGAMMA = np.concatenate(
+            [_LGAMMA, [math.lgamma(0.5 * i) for i in range(_LGAMMA.size, size)]])
+    out[near] = _LGAMMA[idx]
+    if not near.all():
+        far, inv = np.unique(a[~near], return_inverse=True)
+        out[~near] = np.array([math.lgamma(v) for v in far.tolist()])[inv]
+    return out
 
 
 def _check_order(nu: float) -> float:
@@ -80,10 +108,8 @@ def _check_order(nu: float) -> float:
 def _series(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Ascending series, with one order per point. Each point stops on its
     own term. Caller guarantees cancellation safety and x > 0."""
-    orders = np.unique(nu)
-    lg = np.array([math.lgamma(o + 1.0) for o in orders])[np.searchsorted(orders, nu)]
     h = 0.5 * x
-    log_t0 = nu * np.log(h) - lg
+    log_t0 = nu * np.log(h) - _lgamma(nu + 1.0)
     term = np.where(log_t0 < -745.0, 0.0, np.exp(np.clip(log_t0, -745.0, None)))
     total = term.copy()
     h2 = h * h
@@ -230,11 +256,19 @@ def _miller(nu: float, x: np.ndarray) -> np.ndarray:
     return target * scale
 
 
+def _series_safe(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per point x > 0: is the largest term of the ascending series at most
+    exp(_SERIES_LOG_GUARD)?"""
+    h = 0.5 * x
+    kstar = np.maximum(0.0, 0.5 * (-(nu + 2.0) + np.sqrt(nu * nu + x * x)))
+    k = np.round(kstar)
+    log_max = (nu + 2 * k) * np.log(h) - _lgamma(k + 1.0) - _lgamma(nu + k + 1.0)
+    return log_max <= _SERIES_LOG_GUARD
+
+
 def _j(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """J at points x >= 0, where nu holds one checked order per point. A
     point's value does not depend on the other points of the batch."""
-    from scipy.special import gammaln
-
     out = np.empty_like(x)
     zero = x == 0.0
     out[zero] = nu[zero] == 0  # J_0(0) = 1, J_nu(0) = 0 otherwise
@@ -242,12 +276,7 @@ def _j(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     if pos.any():
         xp, nup = x[pos], nu[pos]
         res = np.empty_like(xp)
-        # per-point series-safety estimate of the largest series term
-        h = 0.5 * xp
-        kstar = np.maximum(0.0, 0.5 * (-(nup + 2.0) + np.sqrt(nup * nup + xp * xp)))
-        k = np.round(kstar)
-        log_max = (nup + 2 * k) * np.log(h) - gammaln(k + 1.0) - gammaln(nup + k + 1.0)
-        m_series = log_max <= _SERIES_LOG_GUARD
+        m_series = _series_safe(nup, xp)
         m_up = ~m_series & (xp >= nup)
         m_down = ~m_series & ~m_up
         if m_series.any():

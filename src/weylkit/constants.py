@@ -64,12 +64,23 @@ def constants(d: int) -> Constants:
     return _exact_constants(d)
 
 
+def _omega(d: int) -> Fraction:
+    # an odd d's sqrt(pi) cancels exactly against the one in Gamma(d/2 + 1)
+    return _PI ** (d // 2) * (_SQRT_PI if d % 2 else 1) / gamma_half(d + 2)
+
+
 @lru_cache(maxsize=None)
 def _exact_constants(d: int) -> Constants:
-    # an odd d's sqrt(pi) cancels exactly against the one in Gamma(d/2 + 1)
-    omega = _PI ** (d // 2) * (_SQRT_PI if d % 2 else 1) / gamma_half(d + 2)
+    omega = _omega(d)
     c_d = omega / (2 * _PI) ** d
     return Constants(d=d, omega_d=float(omega), C_d=float(c_d), L_d=float(2 * c_d / (d + 2)))
+
+
+def phase_space_fraction(d: int) -> Fraction:
+    """The power-1 phase-space integral 2 omega_d / (d + 2) = (2 pi)^d L_d
+    as an exact Fraction, for 1 <= d <= MAX_DIM (pi to 70 digits)."""
+    constants(d)  # checks d before any exact arithmetic
+    return 2 * _omega(d) / (d + 2)
 
 
 def phase_space_integral(d: int, power: int) -> float:

@@ -12,10 +12,12 @@ correction. K reduces to the 1-D integral
     K(d, t) = c_d int_0^1 cos(2 s t) (1 - s^2)^{(d+1)/2} ds
 
 and has the closed form  c'_d J_{d/2+1}(2t) / t^{d/2+1}.  Both
-normalization constants are pinned by matching the t -> 0 limit of each
-route to the phase-space integral of (|p|^2-1)_-, so neither depends on
-external special-function identities. `cosine_integral` always evaluates
-both routes and fails loudly if they disagree.
+normalization constants are pinned by the t -> 0 limit of each route,
+K(d, 0) = psi_1 = int (|p|^2 - 1)_- dp = 2 omega_d / (d + 2): c_d is psi_1
+over i_0 = int_0^1 (1 - s^2)^{(d+1)/2} ds, and c'_d is psi_1 Gamma(d/2 + 2).
+Both are exact Fractions rounded once. `cosine_integral` always evaluates
+both routes, the reduced integral by a Filon-Clenshaw-Curtis rule that
+uses no Bessel function, and fails loudly if they disagree.
 
 Integrating the correction over t from 0 to infinity produces the
 boundary coefficient (1/4) L_{d-1}; `boundary_coefficient` verifies this
@@ -26,23 +28,32 @@ convergence acceleration.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .bessel import bessel_j, zeros_below
-from .constants import TWO_PI, constants, gamma_half, phase_space_integral
+from .constants import TWO_PI, constants, gamma_half, phase_space_fraction
 from .errors import ConfigError, ConvergenceError, InvariantViolation, NumericsError, ResourceError
 from .output import csv_text, write
 
-DUAL_EVAL_TOL = 1e-8
+DUAL_EVAL_TOL = 1e-8  # in units of min(1, psi_1), psi_1 = K(d, 0) = max |K(d, t)|
 # longest Bessel zero scan, 2 t_max; boundary_coefficient(2, t_max) peaks at
 # about 0.4 GB RSS there (84 MB at t_max = 500)
 HORIZON_BUDGET = 2**17
 
 # Gauss-Legendre rule reused for all between-zeros segment integrals
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+# Fourier rule of the dual route: per panel, a Chebyshev fit of this degree
+# or Gauss-Legendre with this many nodes; a panel of half-width w takes the
+# moments once its local frequency 2 t w exceeds the switch, from where
+# their forward recurrence up to the degree loses under 1e-15 (measured)
+_FOURIER_DEG = 24
+_FOURIER_GL = 32
+_FOURIER_SWITCH = 16.0
+_FOURIER_TAIL = 1e-18  # bound on the dropped int_b^1 of the weight
+_FOURIER_CHUNK = 1024  # t values per batch; bounds the rule's memory
 
 
 def _check_dim(d: int) -> int:
@@ -53,14 +64,13 @@ def _check_dim(d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _norms(d: int) -> tuple[float, float]:
-    """(quadrature-route constant, Bessel-route constant) for dimension d."""
-    from scipy.integrate import quad
-
-    psi1 = phase_space_integral(d, 1)
-    i0, _ = quad(lambda s: (1.0 - s * s) ** ((d + 1) / 2.0), 0.0, 1.0, epsabs=1e-14)
-    c_quad = psi1 / i0
+    """(quadrature-route constant psi_1 / i_0, Bessel-route constant
+    psi_1 Gamma(d/2 + 2)) for dimension d, each an exact Fraction rounded
+    once; i_0 = sqrt(pi) Gamma((d+3)/2) / (2 Gamma(d/2 + 2))."""
+    psi1 = phase_space_fraction(d)  # checks d
+    i0 = gamma_half(1) * gamma_half(d + 3) / (2 * gamma_half(d + 4))
     # J_nu(2t)/t^nu -> 1/Gamma(nu+1) as t -> 0, nu = d/2 + 1
-    return c_quad, float(Fraction(psi1) * gamma_half(d + 4))
+    return float(psi1 / i0), float(psi1 * gamma_half(d + 4))
 
 
 def _cosine_bessel(d: int, t) -> np.ndarray:
@@ -81,43 +91,120 @@ def _cosine_bessel(d: int, t) -> np.ndarray:
     return out
 
 
+def _weight(d: int, s: np.ndarray) -> np.ndarray:
+    """(1 - s^2)^{(d+1)/2}, the weight of the reduced integral."""
+    return (1.0 - s * s) ** ((d + 1) / 2.0)
+
+
+@lru_cache(maxsize=None)
+def _fourier_panels(d: int) -> tuple[np.ndarray, ...]:
+    """The panels of [0, 1] for the reduced integral, with what each needs.
+
+    Equal panels of width 1/(2m), m = ceil(sqrt(p/3)), cover [0, 1/2]
+    (the weight's width is about 1/sqrt(p), p = (d+1)/2), then each panel
+    is half as wide as the one before, toward the singular end s = 1,
+    until the rest [b, 1] holds at most (1 - b) w(b) <= _FOURIER_TAIL. For
+    odd d the weight is a polynomial, and the equal panels cover [0, 1].
+    Returns the panels' centers and half-widths, the Chebyshev
+    coefficients of the weight on each, and the Gauss-Legendre nodes with
+    their weights times the weight's values.
+    """
+    m = math.ceil(math.sqrt((d + 1) / 6.0))
+    edges = [k / (2.0 * m) for k in range(m * (1 + d % 2) + 1)]
+    while (1.0 - edges[-1]) * _weight(d, edges[-1]) > _FOURIER_TAIL:
+        edges.append(1.0 - 0.5 * (1.0 - edges[-1]))
+    edges = np.array(edges)
+    center, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    n = _FOURIER_DEG + 1
+    theta = math.pi * (np.arange(n) + 0.5) / n
+    basis = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
+    basis[0] *= 0.5
+    coef = _weight(d, center[:, None] + half[:, None] * np.cos(theta)) @ basis.T
+    x, w = np.polynomial.legendre.leggauss(_FOURIER_GL)
+    nodes = center[:, None] + half[:, None] * x
+    return center, half, coef, nodes, half[:, None] * w * _weight(d, nodes)
+
+
+def _chebyshev_fourier(coef: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: (sum over even k of a_k int_{-1}^1 T_k(x) cos(kappa x) dx,
+    sum over odd k of a_k int_{-1}^1 T_k(x) sin(kappa x) dx), from the
+    forward recurrence of the moments (Piessens & Branders 1975), which is
+    stable while k stays below about kappa. The cosine moments of odd k
+    and the sine moments of even k vanish."""
+    sin, cos = np.sin(kappa), np.cos(kappa)
+    m = [2.0 * sin / kappa]  # m_k: the cosine moment for even k, the sine moment for odd k
+    m.append((m[0] - 2.0 * cos) / kappa)
+    m.append((2.0 * sin - 4.0 * m[1]) / kappa)
+    for k in range(2, _FOURIER_DEG):
+        if k % 2:
+            inner = -(2.0 * sin / (k * k - 1) + m[k])
+        else:
+            inner = 2.0 * cos / (k * k - 1) + m[k]
+        m.append(2.0 * (k + 1) / kappa * inner + (k + 1) / (k - 1) * m[k - 1])
+    m = np.array(m)
+    return (coef[:, 0::2] * m[0::2].T).sum(axis=1), (coef[:, 1::2] * m[1::2].T).sum(axis=1)
+
+
+def _cosine_fourier(d: int, t: np.ndarray) -> np.ndarray:
+    """int_0^1 (1 - s^2)^{(d+1)/2} cos(2 t s) ds for a 1-D array t >= 0.
+
+    Filon-Clenshaw-Curtis on the panels of `_fourier_panels`: a panel is
+    summed by Gauss-Legendre while its local frequency 2 t w (w its
+    half-width) is at most _FOURIER_SWITCH, and otherwise by the cosine
+    and sine moments of its Chebyshev fit. Either way a panel costs at
+    most _FOURIER_GL terms, whatever t, and the weight's nodes are fixed
+    per d. Within 3e-15 i_0 of the closed form for 2 <= d <= 224 and
+    1e-6 <= t <= 1e7 (measured against mpmath).
+    """
+    center, half, coef, nodes, wts = _fourier_panels(d)
+    out = np.empty(t.size)
+    for lo in range(0, t.size, _FOURIER_CHUNK):
+        omega = 2.0 * t[lo: lo + _FOURIER_CHUNK]
+        kappa = omega[:, None] * half
+        low = kappa <= _FOURIER_SWITCH
+        acc = np.zeros(omega.size)
+        it, ip = np.nonzero(low)
+        acc += np.bincount(it, (wts[ip] * np.cos(omega[it, None] * nodes[ip])).sum(axis=1),
+                           minlength=omega.size)
+        it, ip = np.nonzero(~low)
+        if it.size:
+            even, odd = _chebyshev_fourier(coef[ip], kappa[it, ip])
+            phase = omega[it] * center[ip]
+            acc += np.bincount(it, half[ip] * (np.cos(phase) * even - np.sin(phase) * odd),
+                               minlength=omega.size)
+        out[lo: lo + omega.size] = acc
+    return out
+
+
 def cosine_integral(d: int, t):
     """int cos(2 xi_d t)(|xi|^2 - 1)_- dxi over R^d, dual-evaluated.
 
     `t` is a scalar (returns a float) or an array (returns an array of its
-    shape). The Bessel closed form runs once over all t; the reduced 1-D
-    integral runs for every t by QUADPACK's QAWO rule for Fourier
-    integrals (`quad` with weight='cos'), whose cost barely grows with t
-    and which uses no Bessel function. Raises
+    shape). The Bessel closed form and the reduced 1-D integral each run
+    once over all t. The latter is `_cosine_fourier`, a Filon-Clenshaw-
+    Curtis rule that uses no Bessel function: within 3e-15 i_0 for
+    2 <= d <= 224 and 1e-6 <= t <= 1e7, at most 32 terms per panel and t
+    (at most 25 panels, for d = 2), so its cost is flat in t. Raises
     NumericsError at the first t, in input order, where the two routes
-    differ by more than DUAL_EVAL_TOL, otherwise returns the Bessel-form
-    values.
+    differ by more than DUAL_EVAL_TOL min(1, psi_1), otherwise returns the
+    Bessel-form values. psi_1 = K(d, 0) is the largest |K(d, t)|, so from
+    moderate d on, where psi_1 is small, the check stays relative to it.
     """
-    from scipy.integrate import quad
-
     d = _check_dim(d)
     ts = np.asarray(t, dtype=float)
     if (ts <= 0).any():
         raise ConfigError(f"t must be positive, got {float(ts[ts <= 0][0])}")
     flat = ts.ravel()
     c_quad, _ = _norms(d)
-    expo = (d + 1) / 2.0
     via_bessel = _cosine_bessel(d, flat)
-    for ti, vb in zip(flat.tolist(), via_bessel.tolist()):
-        val, _err = quad(
-            lambda s: (1.0 - s * s) ** expo,
-            0.0,
-            1.0,
-            weight="cos",
-            wvar=2.0 * ti,
-            epsabs=1e-12,
-            epsrel=1e-12,
-        )
-        via_quad = c_quad * val
-        if abs(via_quad - vb) > DUAL_EVAL_TOL:
-            raise NumericsError(
-                f"cosine integral routes disagree at d={d}, t={ti}: "
-                f"quadrature {via_quad!r} vs Bessel {vb!r}")
+    via_quad = c_quad * _cosine_fourier(d, flat)
+    tol = DUAL_EVAL_TOL * min(1.0, float(phase_space_fraction(d)))
+    bad = np.flatnonzero(~(np.abs(via_quad - via_bessel) <= tol))
+    if bad.size:
+        i = bad[0]
+        raise NumericsError(
+            f"cosine integral routes disagree at d={d}, t={flat[i].item()}: "
+            f"quadrature {via_quad[i].item()!r} vs Bessel {via_bessel[i].item()!r}")
     return float(via_bessel[0]) if ts.ndim == 0 else via_bessel.reshape(ts.shape)
 
 

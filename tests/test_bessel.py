@@ -649,3 +649,33 @@ def test_table_budget(monkeypatch):
     assert bessel._ZERO_TABLE[0.0][0] == 50.0
     monkeypatch.setattr(bessel, "_zeros_pass", None)  # served from the table alone
     assert zeros_below(0.0, 30.0).tobytes() == small.tobytes()
+
+
+def test_route_choice_matches_scipy_gammaln():
+    """The series/upward/Miller split from the lgamma table is the one
+    scipy.special.gammaln gave, over orders 0-400 and x in (0, 1000]."""
+    x = np.linspace(0.0, 1000.0, 20_001)[1:]
+    closest = math.inf
+    for nu in np.arange(0.0, 400.5, 0.5):
+        nus = np.full(x.shape, nu)
+        kstar = np.maximum(0.0, 0.5 * (-(nu + 2.0) + np.sqrt(nu * nu + x * x)))
+        k = np.round(kstar)
+        log_max = (nu + 2 * k) * np.log(0.5 * x) - gammaln(k + 1.0) - gammaln(nu + k + 1.0)
+        want = log_max <= bessel._SERIES_LOG_GUARD
+        assert np.array_equal(bessel._series_safe(nus, x), want), nu
+        closest = min(closest, float(np.min(np.abs(log_max - bessel._SERIES_LOG_GUARD))))
+    assert closest > 1e-9  # far above the few-ulp differences of the two lgammas
+
+
+def test_lgamma_table_stays_bounded(monkeypatch):
+    monkeypatch.setattr(bessel, "_LGAMMA", np.full(1, math.inf))
+    a = np.arange(1.0, 300.0, 0.5)
+    assert np.array_equal(bessel._lgamma(a), [math.lgamma(v) for v in a])
+    assert bessel._LGAMMA.size == 1024  # doubled up to the largest index, 598
+    assert math.isfinite(bessel_j(0, 1e12))
+    with np.errstate(over="ignore", invalid="ignore"):  # the route estimate squares x
+        assert math.isfinite(bessel_j(0.5, 1e300))
+    assert bessel._LGAMMA.size <= bessel.LGAMMA_TABLE_BUDGET
+    # past the table, one lgamma per distinct value, bitwise the same
+    big = np.array([1e12, 2.5e5, 1e12, 131071.5, 4.5])
+    assert np.array_equal(bessel._lgamma(big), [math.lgamma(v) for v in big])

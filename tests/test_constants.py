@@ -43,13 +43,21 @@ def test_gamma_half_against_mpmath():
 
 
 def test_bessel_norm_correctly_rounded():
-    """_norms(d)[1] = psi1 Gamma(d/2 + 2) rounded once: no float64, the
-    Lanczos-gamma product it replaced included, is closer to the 80-digit
-    product."""
-    for d in range(2, MAX_DIM + 1):
-        psi1 = phase_space_integral(d, 1)
-        want = float(mpmath.mpf(psi1) * mpmath.gamma(mpmath.mpf(d) / 2 + 2))
-        assert halfspace._norms(d)[1] == want, d
+    """Both half-space constants are their exact products rounded once, so
+    no float64 is closer to the 80-digit values: psi1 / i0 for the
+    quadrature route and psi1 Gamma(d/2 + 2) for the Bessel route, with
+    psi1 = 2 omega_d / (d + 2) and i0 = int_0^1 (1 - s^2)^((d+1)/2) ds."""
+    with mpmath.workdps(80):
+        for d in range(2, MAX_DIM + 1):
+            half = mpmath.mpf(d) / 2
+            psi1 = 2 * _mp_constants(d)[0] / (d + 2)
+            i0 = mpmath.sqrt(mpmath.pi) * mpmath.gamma(half + 1.5) / (2 * mpmath.gamma(half + 2))
+            want = (float(psi1 / i0), float(psi1 * mpmath.gamma(half + 2)))
+            assert halfspace._norms(d) == want, d
+        # i0's closed form against quadrature
+        for d in (2, 3, 10):
+            i0 = mpmath.quad(lambda s: (1 - s * s) ** (mpmath.mpf(d + 1) / 2), [0, 1])
+            assert float(2 * _mp_constants(d)[0] / (d + 2) / i0) == halfspace._norms(d)[0], d
 
 
 @pytest.mark.parametrize("d", [MAX_DIM + 1, 226, 283, 100000, 10**12])

@@ -267,3 +267,68 @@ def test_profile_at_d224_has_no_overflow_warning(tmp_path):
         b"t,rho,bulk\r\n0.0,0.0,3.467034311839876e-308\r\n"
         b"500.0,3.467034311839876e-308,3.467034311839876e-308\r\n"
         b"1000.0,3.467034311839876e-308,3.467034311839876e-308\r\n")
+
+
+# ---------------------------------------------------------------------------
+# the dual route: a numpy Fourier rule at the edges of its envelope
+
+
+def _mpmath_reduced_integral(d: int, t: float):
+    """int_0^1 (1 - s^2)^p cos(2 t s) ds = sqrt(pi) Gamma(p + 1) J_{p+1/2}(w) / (2 (w/2)^(p+1/2)),
+    w = 2t, p = (d + 1)/2, at 40 digits."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(d + 1) / 2
+        w = 2 * mpmath.mpf(t)
+        return (mpmath.sqrt(mpmath.pi) * mpmath.gamma(p + 1) * mpmath.besselj(p + 0.5, w)
+                / (2 * (w / 2) ** (p + 0.5)))
+
+
+def _i0(d: int) -> float:
+    """The t = 0 value, sqrt(pi) Gamma(p + 1) / (2 Gamma(p + 3/2))."""
+    p = mpmath.mpf(d + 1) / 2
+    return float(mpmath.sqrt(mpmath.pi) * mpmath.gamma(p + 1) / (2 * mpmath.gamma(p + 1.5)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 10, 224])
+def test_fourier_route_against_mpmath(d):
+    ts = np.array([1e-6, 1.0, 50.0, 1e3, 1e7])
+    got = halfspace._cosine_fourier(d, ts)
+    want = np.array([float(_mpmath_reduced_integral(d, t)) for t in ts])
+    assert np.all(np.abs(got - want) <= 3e-15 * _i0(d)), np.abs(got - want) / _i0(d)
+
+
+def test_fourier_route_cost_is_flat_in_t(monkeypatch):
+    """The rule evaluates the weight at the same nodes whatever t, from at
+    most 30 panels; a t then costs at most one Gauss-Legendre rule per panel."""
+    counted = []
+    real = halfspace._weight
+    monkeypatch.setattr(halfspace, "_weight", lambda d, s: counted.append(np.size(s)) or real(d, s))
+    for d in (2, 224):
+        nodes = []
+        for t in (1e-6, 1.0, 50.0, 1e3, 1e7):
+            halfspace._fourier_panels.cache_clear()
+            counted.clear()
+            halfspace._cosine_fourier(d, np.array([t]))
+            nodes.append(sum(counted))
+        panels = halfspace._fourier_panels(d)[0].size
+        assert panels <= 30
+        assert nodes == [nodes[0]] * 5
+        # per panel its Chebyshev points, its GL nodes and at most one tail test
+        assert nodes[0] <= panels * (halfspace._FOURIER_DEG + halfspace._FOURIER_GL + 2) + 1
+    halfspace._fourier_panels.cache_clear()
+
+
+def test_dual_check_is_relative_to_psi1(monkeypatch):
+    """From moderate d on, K(d, t) <= psi1 is far below 1: at d = 40 psi1 is
+    1.7e-10, so a Bessel route off by 1e-6 psi1 must still be refused."""
+    d = 40
+    ts = np.array([0.1, 1.0, 5.0, 10.0, 50.0])
+    psi1 = phase_space_integral(d, 1)
+    assert psi1 < 2e-10
+    cosine_integral(d, ts)
+    real = halfspace._cosine_bessel
+    monkeypatch.setattr(halfspace, "_cosine_bessel",
+                        lambda d, t: real(d, t) + np.where(t >= 5.0, 1e-6 * psi1, 0.0))
+    with pytest.raises(NumericsError, match=r"routes disagree at d=40, t=5\.0: quadrature "
+                                            r".* vs Bessel "):
+        cosine_integral(d, ts)

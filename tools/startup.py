@@ -1,12 +1,12 @@
-"""Report the CLI's cold start: import time and the scipy each command loads.
+"""Report the CLI's cold start: each command's wall time and the scipy it loads.
 
     python3 tools/startup.py [--src path/to/src] [--runs 5]
 
-Prints Markdown: the median wall time of RUNS fresh
-``python -c "import weylkit.cli"`` processes, then, for one small argv of
-each command run in a fresh process, the public scipy subpackages loaded
-once it has finished (``scipy.X`` packages whose name has no leading
-underscore). It checks nothing: tests/test_startup.py does.
+Prints a Markdown table: for a bare import of the CLI and one small argv
+of each command, the median wall time of RUNS fresh processes that import
+weylkit and its CLI and run the argv, and the public scipy subpackages
+loaded once it has finished (``scipy.X`` packages whose name has no
+leading underscore). It checks nothing: tests/test_startup.py does.
 """
 
 import argparse
@@ -28,6 +28,8 @@ COMMANDS = [
     ["sweep", "--domain", "box:1,1,1", "--h", "log:0.2:0.05:6"],
     ["fit", "--domain", "disk:1", "--h", "log:0.2:0.02:12"],
     ["halfspace", "--check", "dual"],
+    ["halfspace", "--d", "3", "--check", "boundary-coefficient", "--T", "200"],
+    ["halfspace", "--check", "profile", "--T", "30", "--out", "p.csv"],
     ["localize", "--domain", "disk:1", "--l0", "0.1", "--grid", "8",
      "--check-normalization", "1", "--out", "d.csv"],
     ["fd", "--polygon", "sq.json", "--step", "0.0625", "--threshold", "300", "--out", "o.csv"],
@@ -54,22 +56,19 @@ def _env(src: Path) -> dict:
 
 def footprint(argv: list[str], cwd, src: Path = SRC) -> tuple[int, list[str]]:
     """(exit code, scipy subpackages loaded) of `argv` in a fresh process."""
+    return _probe(argv, cwd, src)[1:]
+
+
+def _probe(argv: list[str], cwd, src: Path) -> tuple[float, int, list[str]]:
+    """(wall time, exit code, scipy subpackages loaded) of one fresh process."""
+    t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)], cwd=cwd,
                           env=_env(src), capture_output=True, text=True, timeout=120)
+    seconds = time.perf_counter() - t0
     if proc.returncode != 0:
         raise RuntimeError(f"probe of {argv} failed: {proc.stderr.strip()[-300:]}")
     code, loaded = json.loads(proc.stdout)
-    return code, loaded
-
-
-def import_seconds(runs: int, src: Path = SRC) -> list[float]:
-    """Wall times of `runs` fresh `python -c "import weylkit.cli"` processes."""
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import weylkit.cli"], env=_env(src), check=True)
-        times.append(time.perf_counter() - t0)
-    return times
+    return seconds, code, loaded
 
 
 def main() -> int:
@@ -78,19 +77,18 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args()
     src = args.src.resolve()
-    times = import_seconds(args.runs, src)
     print("### Cold start")
-    print(f'`python -c "import weylkit.cli"`: median {statistics.median(times):.3f} s '
-          f"of {len(times)} runs ({', '.join(f'{t:.3f}' for t in times)})")
     print()
-    print("| argv | exit | scipy subpackages loaded |")
-    print("|---|---|---|")
+    print(f"| argv | exit | median s of {args.runs} | scipy subpackages loaded |")
+    print("|---|---|---|---|")
     with tempfile.TemporaryDirectory() as work:
         Path(work, "sq.json").write_text(SQUARE)
         for argv in [[], *COMMANDS]:
-            code, loaded = footprint(argv, work, src)
+            runs = [_probe(argv, work, src) for _ in range(args.runs)]
+            _, code, loaded = runs[-1]
+            seconds = statistics.median(r[0] for r in runs)
             shown = " ".join(argv) if argv else "(import only)"
-            print(f"| `{shown}` | {code} | {', '.join(loaded) or 'none'} |")
+            print(f"| `{shown}` | {code} | {seconds:.3f} | {', '.join(loaded) or 'none'} |")
     return 0
 
 
