@@ -383,14 +383,31 @@ def _refine(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> 
 
 def _check_interlacing(orders, zeros, x_max: float) -> None:
     """DLMF 10.21(i) on consecutive orders: j_{nu,k} < j_{nu+1,k} < j_{nu,k+1},
-    so below any x_max J_{nu+1} has n_nu - 1 or n_nu zeros."""
-    for nu, mu, a, b in zip(orders, orders[1:], zeros, zeros[1:]):
-        if mu != nu + 1.0:
-            continue
-        n, m = a.size, b.size
-        if not (n - 1 <= m <= n and np.all(a[:m] < b) and np.all(b[: n - 1] < a[1:])):
-            raise InvariantViolation(
-                f"zeros of J_{nu} ({n}) and J_{mu} ({m}) below {x_max} do not interlace")
+    so below any x_max J_{nu+1} has n_nu - 1 or n_nu zeros.
+
+    One test over the concatenated zeros: in it, J_{nu+1}'s k-th zero sits
+    n_nu places after J_nu's, so each zero of the higher order is compared
+    with the two zeros of the lower order at that distance. Pairs whose
+    orders do not differ by 1 are skipped; the first failing pair is named.
+    """
+    sizes, nus = np.array([z.size for z in zeros]), np.array(orders)
+    pairs = np.flatnonzero(nus[1:] == nus[:-1] + 1.0)  # J_nu, J_{nu+1} at pairs, pairs + 1
+    n, m = sizes[pairs], sizes[pairs + 1]
+    bad = (m < n - 1) | (m > n)
+    if pairs.size:
+        flat = np.concatenate(zeros)
+        ok = ~bad  # compare the zeros of the pairs with consistent counts only
+        pair = np.repeat(np.flatnonzero(ok), m[ok])  # per zero of the higher order
+        k = np.arange(pair.size) - np.repeat(np.cumsum(m[ok]) - m[ok], m[ok])  # its rank
+        at = np.repeat(np.cumsum(sizes)[pairs[ok]], m[ok]) + k  # its place in flat
+        gap = n[pair]  # J_nu's zeros k and k + 1 are gap and gap - 1 places back
+        inside = (flat[at - gap] < flat[at]) & ((k >= gap - 1) | (flat[at] < flat[at - gap + 1]))
+        bad[pair[~inside]] = True
+    if bad.any():
+        i = pairs[np.argmax(bad)]
+        raise InvariantViolation(
+            f"zeros of J_{orders[i]} ({sizes[i]}) and J_{orders[i + 1]} ({sizes[i + 1]}) "
+            f"below {x_max} do not interlace")
 
 
 def _zeros_pass(orders, x_max: float) -> list[np.ndarray]:

@@ -16,11 +16,14 @@ range where the spectrum is complete raises rather than truncating.
 
 riesz(h) is the correctly rounded value of the exact rational
 N - fl(h^2) * sum(lambda_k), which is the exact sum of the terms
-1 - fl(h^2) lambda_k. One walk down a descending h grid grows a single
-exact expansion of the eigenvalue prefix sum (Shewchuk, Discrete Comput.
-Geom. 18, 1997) and multiplies it by h^2 exactly (Dekker, Numer. Math.
-18, 1971), so a sweep of H values over N eigenvalues costs O(N + H L),
-with L the expansion length, a handful of components.
+1 - fl(h^2) lambda_k. A descending h grid takes one error-free
+extraction pass over its largest eigenvalue prefix (Rump, Ogita and
+Oishi, SIAM J. Sci. Comput. 31, 2008), which gives the prefix sum at
+every h exactly as a few components, and one exact product of every
+component with h^2 (Dekker, Numer. Math. 18, 1971). A sweep of H values
+over N eigenvalues costs O(N L + H C) in whole-array calls, with L the
+extraction levels per block (about 2 to 4) and C the components per h,
+a handful.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ def _check_h(h: float) -> None:
         raise ConfigError(f"h={h!r} is too large: h^2 is not finite")
 
 
-def _below(spectrum: Spectrum, h: float) -> np.ndarray:
-    """The eigenvalues strictly below h^-2, after the completeness check."""
+def _threshold(spectrum: Spectrum, h: float) -> float:
+    """h^-2, after the checks of h and of the spectrum's completeness."""
     _check_h(h)
     thr = 1.0 / (h * h)
     if thr > spectrum.cutoff * (1.0 + 1e-12):
@@ -66,43 +69,50 @@ def _below(spectrum: Spectrum, h: float) -> np.ndarray:
             f"h={h} needs eigenvalues up to {thr:.6g}, but the spectrum is only "
             f"complete below {spectrum.cutoff:.6g}"
         )
+    return thr
+
+
+def _below(spectrum: Spectrum, h: float) -> np.ndarray:
+    """The eigenvalues strictly below h^-2, after the completeness check."""
+    thr = _threshold(spectrum, h)
     return spectrum.eigenvalues[: np.searchsorted(spectrum.eigenvalues, thr, side="left")]
 
 
-def _levels(blocks):
-    """Exact sums of the extraction levels of every term of `blocks`.
+def _extract(p: np.ndarray, scratch: np.ndarray):
+    """Yield the extraction levels of the block p in turn, in `scratch`.
 
-    `blocks` is an iterable of float64 arrays whose terms are finite and
-    below 2^1000 in magnitude; the arrays are overwritten. Each run of
-    SUM_BLOCK terms p is summed exactly by error-free extraction
-    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008, ExtractVector):
-    with sigma = 2^M * 2^e >= 2^M max|p|, q = (sigma + p) - sigma is a
-    multiple of 2^-53 sigma with |q| <= 2^-M sigma, p - q is exact, and
-    every partial sum of q is a multiple of 2^-53 sigma no larger than
-    sigma, so np.sum(q) is exact in any order. Extraction repeats on the
-    remainder p - q until it is zero; the level sums add up to the terms'
-    sum exactly.
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008, ExtractVector) on finite terms below 2^1000 in magnitude, at most
+    SUM_BLOCK of them: with sigma = 2^M * 2^e >= 2^M max|p|,
+    q = (sigma + p) - sigma is a multiple of 2^-53 sigma with
+    |q| <= 2^-M sigma, p - q is exact, and every partial sum of q, in any
+    order and over any subset, is a multiple of 2^-53 sigma no larger than
+    sigma, so it is exact. Extraction repeats on the remainder p - q, which
+    overwrites p, until it is zero; the levels add up to the terms exactly.
+    Each yielded level is overwritten by the next one.
     """
-    scratch = np.empty(SUM_BLOCK)
-    for block in blocks:
-        for start in range(0, block.size, SUM_BLOCK):
-            p = block[start:start + SUM_BLOCK]
-            q = scratch[:p.size]
-            while (top := max(p.max(), -p.min())) > 0:
-                sigma = math.ldexp(_LEVEL_SCALE, math.frexp(top)[1])
-                np.add(p, sigma, out=q)
-                q -= sigma
-                p -= q
-                yield float(q.sum())
+    q = scratch[:p.size]
+    while (top := max(p.max(), -p.min())) > 0:
+        sigma = math.ldexp(_LEVEL_SCALE, math.frexp(top)[1])
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
+        yield q
 
 
 def exact_sum(blocks) -> float:
     """Correctly rounded sum of every term of `blocks`, bitwise `math.fsum`'s.
 
-    The terms are those `_levels` takes (finite, below 2^1000, overwritten);
-    `math.fsum` rounds the exact level sums once, as it rounds the terms.
+    `blocks` is an iterable of float64 arrays whose terms are finite and
+    below 2^1000 in magnitude; the arrays are overwritten. Each run of
+    SUM_BLOCK terms is extracted (`_extract`, the kernel of `_riesz_means`)
+    and each level summed by np.sum, which is exact; `math.fsum` rounds the
+    exact level sums once, as it rounds the terms.
     """
-    return math.fsum(_levels(blocks))
+    scratch = np.empty(SUM_BLOCK)
+    return math.fsum(float(q.sum()) for block in blocks
+                     for start in range(0, block.size, SUM_BLOCK)
+                     for q in _extract(block[start:start + SUM_BLOCK], scratch))
 
 
 def _grow(partials: list[float], x: float) -> None:
@@ -131,7 +141,9 @@ def _two_product(a: float, b: float) -> tuple[float, float]:
     """p = fl(a b) and e with p + e == a b exactly.
 
     Dekker's product on Veltkamp's split (Dekker, Numer. Math. 18, 1971;
-    Python 3.11 has no math.fma). Precondition, which the caller keeps:
+    Python 3.11 has no math.fma); elementwise on arrays, whose IEEE
+    operations round as the scalar ones do. Precondition, which the caller
+    keeps:
     a and b are finite and, with frexp exponents fa and fb (|a| < 2^fa),
     either one is zero or fa, fb <= 996 (the split, _SPLITTER * a, does
     not overflow), fa + fb <= 1023 (|a b| < 2^1023: no partial product
@@ -150,32 +162,43 @@ def _two_product(a: float, b: float) -> tuple[float, float]:
 
 
 def _riesz_means(spectrum: Spectrum, h_grid) -> list[tuple[int, float]]:
-    """(N, riesz) at every h of a descending grid, from one prefix expansion.
+    """(N, riesz) at every h of a descending grid, from one extraction pass.
 
-    Every h is checked first (`_below`). The eigenvalues are scaled by
-    2^-K, where 2^K is above the largest threshold 1/fl(h^2), so the
+    Every h is checked first, in order (`_threshold`, as in `_below`).
+    The eigenvalues are scaled by 2^-K, where 2^K is above the largest threshold 1/fl(h^2), so the
     prefix sum stays far from overflow; the scaling is exact because each
     positive scaled eigenvalue is at least _MIN_SCALED, which is checked.
-    Going down the grid, each new segment of the prefix is summed exactly
-    by extraction (`_levels`) and grown into one expansion of
-    2^-K sum(lambda) (`_grow`). At each h every component v gives
-    a v = p + e exactly with a = fl(h^2) 2^K (`_two_product`), and
-    `math.fsum` rounds N - sum(p + e) once.
+    The largest prefix is extracted once, SUM_BLOCK terms at a time
+    (`_extract`). Within a block, one np.add.reduceat over the grid's
+    counts and its np.cumsum give each level's prefix sum at every count;
+    any partial sum of a level is exact. So 2^-K times the prefix sum at a
+    count is exactly the sum of its components: an expansion of the
+    finished blocks' level totals (`_grow`) and the current block's level
+    prefix sums. With a = fl(h^2) 2^K, every component v gives
+    a v = p + e exactly (`_two_product`, applied to all h at once), and
+    `math.fsum` rounds N - sum(p + e) once per h.
 
     Why every product keeps `_two_product`'s precondition, given the one
-    check on _MIN_SCALED: the expansion is empty until the prefix holds a
-    positive eigenvalue; its components are finite, since the prefix sum
-    stays below N, nonzero (`_grow`) and multiples of ulp(_MIN_SCALED) =
-    2^-968 below 2N, so -967 <= fb <= 64.
-    1/fl(h_min^2) rounds to a threshold below 2^K, so a > 1/2 at every h,
-    and a positive eigenvalue lambda < 1/fl(h^2) of the prefix gives
-    a < (1 + 2^-50) / (2^-K lambda) < 2^917, so 0 <= fa <= 917.
+    check on _MIN_SCALED: the scaled eigenvalues are below 1 and their
+    positive ones are multiples of ulp(_MIN_SCALED) = 2^-968; then so is
+    every level term, every partial sum of one and every component of the
+    expansion (a rounded sum of two multiples of 2^-968 is exact or a
+    multiple of an ulp above 2^-968). A level prefix sum is at most SUM_BLOCK in magnitude
+    (each level term is at most 1) and an expansion component is below 2N,
+    so a nonzero component has -967 <= fb <= 64. While the prefix holds
+    no positive eigenvalue, its components are all zero and a is set to 0
+    (2^K h^2 may overflow there). Otherwise 1/fl(h_min^2) rounds to a threshold
+    below 2^K, so a > 1/2 at every h, and a positive eigenvalue
+    lambda < 1/fl(h^2) of the prefix gives a < (1 + 2^-50) / (2^-K lambda)
+    < 2^917, so 0 <= fa <= 917.
     """
-    counts = [len(_below(spectrum, h)) for h in h_grid]
-    if not counts:
+    thresholds = [_threshold(spectrum, h) for h in h_grid]
+    if not thresholds:
         return []
     lam = spectrum.eigenvalues
-    k = math.frexp(1.0 / (h_grid[-1] * h_grid[-1]))[1]
+    at = np.searchsorted(lam, thresholds, side="left")  # N at every h
+    counts = at.tolist()
+    k = math.frexp(thresholds[-1])[1]
     first = np.searchsorted(lam, 0.0, side="right")  # the first positive eigenvalue
     if first < counts[-1] and math.ldexp(lam[first], -k) < _MIN_SCALED:
         raise NumericsError(
@@ -183,21 +206,34 @@ def _riesz_means(spectrum: Spectrum, h_grid) -> list[tuple[int, float]]:
             f"2^{k}: the Riesz sum is outside its exact range"
         )
     scale = math.ldexp(1.0, -k)
-    partials: list[float] = []
-    done = 0
-    means = []
-    for h, n in zip(h_grid, counts):
-        segment = (lam[i:min(i + SUM_BLOCK, n)] * scale for i in range(done, n, SUM_BLOCK))
-        for level in _levels(segment):
+    total = counts[-1]
+    partials: list[float] = []  # the expansion of the finished blocks
+    rows = []  # (first h, last h + 1, their components) per block
+    buf, scratch = np.empty((2, min(total, SUM_BLOCK)))
+    for start in range(0, total, SUM_BLOCK):
+        end = min(start + SUM_BLOCK, total)
+        p = np.multiply(lam[start:end], scale, out=buf[:end - start])
+        lo, hi = np.searchsorted(at, (start, end))  # the h whose count is in [start, end)
+        bounds, pos = np.unique(np.append(0, at[lo:hi] - start), return_inverse=True)
+        sums = [np.cumsum(np.add.reduceat(q, bounds)) for q in _extract(p, scratch)]
+        # per level (row): the sum below bounds[j] in column j, the block's total last
+        prefix = np.zeros((len(sums), bounds.size + 1))
+        prefix[:, 1:] = np.reshape(sums, (-1, bounds.size))
+        rows.append((lo, hi, np.hstack([np.broadcast_to(partials, (hi - lo, len(partials))),
+                                        prefix[:, pos[1:]].T])))
+        for level in prefix[:, -1].tolist():
             _grow(partials, level)
-        done = n
-        terms = [float(n)]
-        if partials:  # empty until the prefix holds a positive eigenvalue
-            a = math.ldexp(h * h, k)
-            for v in partials:
-                terms += (-x for x in _two_product(a, v))
-        means.append((n, math.fsum(terms)))
-    return means
+    lo = np.searchsorted(at, total)
+    rows.append((lo, at.size, np.broadcast_to(partials, (at.size - lo, len(partials)))))
+    comps = np.zeros((at.size, max(c.shape[1] for _, _, c in rows)))
+    for lo, hi, c in rows:
+        comps[lo:hi, :c.shape[1]] = c
+    live = (comps != 0).any(axis=1)  # the prefix holds a positive eigenvalue
+    a = np.zeros(at.size)
+    a[live] = np.ldexp(np.array([h * h for h in h_grid], dtype=float)[live], k)
+    p, e = _two_product(a[:, None], comps)
+    terms = np.hstack([at[:, None], -p, -e]).tolist()
+    return [(n, math.fsum(row)) for n, row in zip(counts, terms)]
 
 
 def counting_function(spectrum: Spectrum, h: float) -> int:
@@ -210,7 +246,7 @@ def riesz_mean(spectrum: Spectrum, h: float) -> float:
 
     The value is the correctly rounded exact rational N - fl(h^2) sum(lambda)
     over the N eigenvalues below h^-2, the one-h case of `sweep`
-    (`_riesz_means`: Shewchuk's expansion and Dekker's product).
+    (`_riesz_means`: one extraction pass and Dekker's product).
     """
     [(_, value)] = _riesz_means(spectrum, [h])
     return value
@@ -267,10 +303,11 @@ class SweepResult:
 def sweep(domain, spectrum: Spectrum, h_grid) -> SweepResult:
     """One record per h (grid must be sorted strictly descending).
 
-    Every riesz is `riesz_mean`'s value, correctly rounded; the grid is
-    walked once and each eigenvalue of the prefix is summed once, so the
-    cost is O(N + H L) for N eigenvalues, H values of h and an expansion
-    of L components (`_riesz_means`).
+    Every riesz is `riesz_mean`'s value, correctly rounded; each
+    eigenvalue of the largest prefix is extracted once and every h takes
+    one exact product per component, so the cost is O(N L + H C) for N
+    eigenvalues, L extraction levels, H values of h and C components per
+    h (`_riesz_means`).
     """
     h_grid = [float(h) for h in h_grid]
     if any(b >= a for a, b in zip(h_grid, h_grid[1:])):

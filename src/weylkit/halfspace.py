@@ -76,19 +76,41 @@ def _norms(d: int) -> tuple[float, float]:
 def _cosine_bessel(d: int, t) -> np.ndarray:
     """Closed-form route for the cosine correction, vectorized over t > 0.
 
-    c J_nu(2t) / t^nu, taken in logarithms where t^nu overflows.
+    c J_nu(2t) / t^nu, taken in logarithms where t^nu overflows. Where
+    J_nu(2t) is below the normal range (0 or subnormal, from d = 86 on at
+    small t) and t < 1, it is the same function's series
+    psi_1 0F1(; nu + 1; -t^2) instead: 2t < 2 < nu < j_{nu,1}, so J_nu has
+    no zero there and a tiny J_nu is one that underflowed.
     """
     nu = d / 2.0 + 1.0
     t = np.asarray(t, dtype=float)
     c, j = _norms(d)[1], bessel_j(nu, 2.0 * t)
     with np.errstate(over="ignore"):
         power = t**nu
-    out = c * j / power
+    out = np.empty(t.shape)
+    under = (np.abs(j) < np.finfo(float).tiny) & (t < 1.0)
+    out[~under] = c * j[~under] / power[~under]
     far = power == math.inf
     with np.errstate(divide="ignore"):  # log 0 = -inf at a zero of J
         logs = math.log(c) + np.log(np.abs(j[far])) - nu * np.log(t[far])
     out[far] = np.sign(j[far]) * np.exp(logs)
+    out[under] = float(phase_space_fraction(d)) * _hyp0f1_neg(nu + 1.0, t[under] ** 2)
     return out
+
+
+def _hyp0f1_neg(b: float, x: np.ndarray) -> np.ndarray:
+    """0F1(; b; -x) = sum over k of (-x)^k / ((b)_k k!) for 0 <= x < 1, b >= 3.
+
+    The terms fall by a factor x / ((b + k)(k + 1)) < 1/3 each, so the sum
+    stays above 2/3, and summing until every term is below 2^-60 leaves a
+    truncation error under 2^-61, below 2^-60 of the value.
+    """
+    term, total, k = np.ones(x.shape), np.ones(x.shape), 0
+    while np.any(np.abs(term) >= 2.0**-60):
+        term *= -x / ((b + k) * (k + 1))
+        total += term
+        k += 1
+    return total
 
 
 def _weight(d: int, s: np.ndarray) -> np.ndarray:

@@ -84,7 +84,13 @@ def box_spectrum(sides, cutoff: float) -> Spectrum:
     """All eigenvalues pi^2 sum (m_i/a_i)^2 < cutoff, m_i >= 1.
 
     The lattice search is bounded (m_i <= a_i sqrt(cutoff)/pi), hence
-    provably exhaustive.
+    provably exhaustive. The partial sums s of the first d - 1 sides are
+    sorted ascending, so their rows' lengths floor(a sqrt(q - s)) in the
+    last side a are nonincreasing. The rows are then written column by
+    column: each run of columns m that the same leading rows reach is one
+    outer sum s + (m/a)^2. That takes as many whole-array calls as there
+    are distinct row lengths, at most min(rows, columns), and each value
+    is fl(s + fl(m/a)^2) whatever the order; the values are then sorted.
     """
     box = Box(tuple(sides))
     if cutoff <= 0:
@@ -97,13 +103,18 @@ def box_spectrum(sides, cutoff: float) -> Spectrum:
         m = np.arange(1, m_max + 1)
         cand = (partial[:, None] + (m[None, :] / a) ** 2).ravel()
         partial = cand[cand < q]
-    # the last side's m = 1..floor(a sqrt(q - s)) for every partial sum s,
-    # laid out row after row
+    partial.sort()
     a_last = box.sides[-1]
-    m_max = np.floor(a_last * np.sqrt(q - partial)).astype(np.int64)
-    row_end = np.cumsum(m_max)
-    m = np.arange(1, m_max.sum() + 1) - np.repeat(row_end - m_max, m_max)
-    vals = np.repeat(partial, m_max) + (m / a_last) ** 2
+    # row lengths, nonincreasing, and a last row of length 0
+    m_max = np.append(np.floor(a_last * np.sqrt(q - partial)).astype(np.int64), 0)
+    square = (np.arange(1, m_max[0] + 1) / a_last) ** 2
+    vals = np.empty(m_max.sum())
+    at = 0
+    for n in (np.flatnonzero(m_max[1:] != m_max[:-1]) + 1).tolist():
+        lo, hi = m_max[n], m_max[n - 1]  # columns lo+1..hi hold rows 0..n-1
+        block = vals[at:at + n * (hi - lo)].reshape(n, hi - lo)
+        np.add(partial[:n, None], square[lo:hi], out=block)
+        at += block.size
     ev = vals[vals < q]
     ev.sort()
     ev *= math.pi**2

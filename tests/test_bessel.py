@@ -561,6 +561,80 @@ def test_a_pass_stores_its_last_order_after_the_next_check(monkeypatch):
         assert got.tobytes() == _ref_zeros_below(nu, 30.0).tobytes(), nu
 
 
+def _ref_check_interlacing(orders, zeros, x_max):
+    """The per-pair loop that the one-shot check replaced, kept verbatim."""
+    for nu, mu, a, b in zip(orders, orders[1:], zeros, zeros[1:]):
+        if mu != nu + 1.0:
+            continue
+        n, m = a.size, b.size
+        if not (n - 1 <= m <= n and np.all(a[:m] < b) and np.all(b[: n - 1] < a[1:])):
+            raise InvariantViolation(
+                f"zeros of J_{nu} ({n}) and J_{mu} ({m}) below {x_max} do not interlace")
+
+
+def _interlacing_message(check, orders, zeros, x_max):
+    try:
+        check(orders, zeros, x_max)
+    except InvariantViolation as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("ladder", [0.0, 0.5])  # the disk's and the ball's orders
+def test_interlacing_check_cases(ladder):
+    """The one-shot check passes the true zeros, refuses an extra zero of
+    the higher order and names an inner failing pair of a long run."""
+    orders = _orders_below(ladder, 40.0)
+    zeros = list(zeros_below_orders(orders, 40.0))
+    assert _interlacing_message(bessel._check_interlacing, orders, zeros, 40.0) is None
+    # J_{nu+1} with n + 1 zeros: one past x_max appended to the second order
+    extra = [zeros[0], np.append(zeros[1], 41.0)]
+    n = zeros[0].size
+    assert _interlacing_message(bessel._check_interlacing, orders[:2], extra, 40.0) == (
+        f"zeros of J_{orders[0]} ({n}) and J_{orders[1]} ({n + 1}) below 40.0 do not interlace")
+    # the 3rd zero of the 13th order moved past the 4th of the 12th
+    moved = [z.copy() for z in zeros]
+    moved[12][2] = 0.5 * (zeros[11][3] + zeros[11][4])
+    got = _interlacing_message(bessel._check_interlacing, orders, moved, 40.0)
+    assert got == (f"zeros of J_{orders[11]} ({zeros[11].size}) and J_{orders[12]} "
+                   f"({zeros[12].size}) below 40.0 do not interlace")
+    assert got == _interlacing_message(_ref_check_interlacing, orders, moved, 40.0)
+
+
+def test_interlacing_check_skips_orders_apart_by_more_than_one():
+    """In [0, 2, 3] only (2, 3) is checked: J_2 given the zeros of J_5,
+    which do not interlace with J_0's, passes until J_3 is checked."""
+    z0, z3, z5 = (zeros_below(nu, 30.0) for nu in (0.0, 3.0, 5.0))
+    assert _interlacing_message(bessel._check_interlacing, [0.0, 2.0, 3.0],
+                                [z0, zeros_below(2.0, 30.0), z3], 30.0) is None
+    assert _interlacing_message(bessel._check_interlacing, [0.0, 2.0], [z0, z5], 30.0) is None
+    assert _interlacing_message(bessel._check_interlacing, [0.0, 2.0, 3.0], [z0, z5, z3], 30.0) \
+        == f"zeros of J_2.0 ({z5.size}) and J_3.0 ({z3.size}) below 30.0 do not interlace"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), ladder=st.sampled_from([0.0, 0.5]))
+def test_interlacing_check_matches_pair_loop(seed, ladder):
+    """The one-shot check raises exactly where the per-pair loop does, with
+    its message, on subsets of orders and zeros moved, dropped or added."""
+    rng = np.random.default_rng(seed)
+    orders = _orders_below(ladder, 30.0)
+    keep = np.sort(rng.choice(len(orders), int(rng.integers(1, len(orders) + 1)), replace=False))
+    orders = [orders[i] for i in keep]
+    zeros = [z.copy() for z in zeros_below_orders(orders, 30.0)]
+    for _ in range(int(rng.integers(0, 3))):
+        j = int(rng.integers(len(zeros)))
+        z, change = zeros[j], int(rng.integers(4))  # change 3 leaves the zeros
+        if change == 0 and z.size:  # move one
+            z[int(rng.integers(z.size))] += rng.normal() * 3.0
+        elif change == 1 and z.size:  # drop one
+            zeros[j] = np.delete(z, int(rng.integers(z.size)))
+        elif change == 2:  # add one
+            zeros[j] = np.sort(np.append(z, rng.uniform(0.0, 30.0)))
+    assert _interlacing_message(bessel._check_interlacing, orders, zeros, 30.0) == \
+        _interlacing_message(_ref_check_interlacing, orders, zeros, 30.0)
+
+
 @pytest.mark.parametrize("ladder", [0.0, 0.5])
 def test_passes_do_not_move_zeros(monkeypatch, ladder):
     """Orders split over many passes give the bytes of one pass."""

@@ -21,6 +21,7 @@ from weylkit.errors import (
 from weylkit.functionals import (
     SUM_BLOCK,
     _grow,
+    _riesz_means,
     _two_product,
     FitReport,
     SweepRecord,
@@ -504,6 +505,47 @@ def test_sweep_riesz_is_exact(case):
         assert (r.n_below, r.riesz.hex()) == (n, exact.hex())
         other = riesz_from_counting(spec, r.h)
         assert abs(other - r.riesz) <= 2.0**-50 * (abs(r.riesz) + n)
+
+
+def _spectrum_with_counts(counts, hs, seed):
+    """A spectrum with exactly counts[i] eigenvalues below 1/fl(hs[i]^2):
+    each step between two thresholds is filled with random values (ties
+    included) from the lower threshold up to below the higher one."""
+    rng = np.random.default_rng(seed)
+    thresholds = [1.0 / (h * h) for h in hs]
+    parts, done, low = [], 0, 0.0
+    for n, high in zip(counts, thresholds):
+        values = rng.uniform(low, high, n - done)
+        values[::7] = values[0] if values.size else 0.0  # ties
+        parts.append(values)
+        done, low = n, high
+    return Spectrum(np.sort(np.concatenate(parts)), 2.0 * thresholds[-1], "exact-box")
+
+
+@pytest.mark.parametrize("counts", [
+    [SUM_BLOCK, 2 * SUM_BLOCK, 3 * SUM_BLOCK],  # every count on a block end
+    [0, 0, 5, 5, 5, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK, SUM_BLOCK + 1],  # leading zeros, repeats
+    [3 * SUM_BLOCK + 2, 3 * SUM_BLOCK + 2],  # the prefix past 3 blocks, repeated
+    [7, SUM_BLOCK + 3, 3 * SUM_BLOCK - 1, 3 * SUM_BLOCK, 4 * SUM_BLOCK + 11],
+])
+def test_riesz_means_at_block_edges_and_repeated_counts(counts):
+    """Bitwise the exact oracle where counts fall on multiples of
+    SUM_BLOCK, repeat, start at 0 or run past 3 SUM_BLOCK."""
+    hs = list(np.geomspace(0.5, 0.01, len(counts)))
+    spec = _spectrum_with_counts(counts, hs, seed=len(counts))
+    got = _riesz_means(spec, hs)
+    assert [n for n, _ in got] == counts
+    want = _exact_riesz(spec.eigenvalues, hs)
+    assert [(n, x.hex()) for n, x in got] == [(n, x.hex()) for n, x in want]
+
+
+@pytest.mark.parametrize("size", [0, 1, SUM_BLOCK, SUM_BLOCK + 5])
+def test_riesz_means_of_an_all_zero_spectrum(size):
+    """Only zero eigenvalues: riesz = N at every h, with no product taken
+    (2^K h^2 overflows at the first h)."""
+    spec = Spectrum(np.zeros(size), 1e201, "exact-box")
+    hs = [1e100, 1.0, 1e-100]
+    assert _riesz_means(spec, hs) == [(size, float(size))] * 3 == _exact_riesz(spec.eigenvalues, hs)
 
 
 def test_riesz_power_of_two_scaling_is_bitwise(square_50):

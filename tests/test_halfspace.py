@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 from weylkit import halfspace
 from weylkit.bessel import bessel_j
+from weylkit.cli import main
 from weylkit.constants import TWO_PI, constants, phase_space_integral
 from weylkit.errors import ConfigError, ConvergenceError, NumericsError
 from weylkit.halfspace import (
@@ -267,6 +268,38 @@ def test_profile_at_d224_has_no_overflow_warning(tmp_path):
         b"t,rho,bulk\r\n0.0,0.0,3.467034311839876e-308\r\n"
         b"500.0,3.467034311839876e-308,3.467034311839876e-308\r\n"
         b"1000.0,3.467034311839876e-308,3.467034311839876e-308\r\n")
+
+
+@pytest.mark.parametrize("d", [86, 100, 224])
+def test_cosine_integral_where_the_bessel_factor_underflows(d):
+    """Where J_{d/2+1}(2t) is 0 or subnormal the closed form is its series
+    psi_1 0F1(; d/2 + 2; -t^2): within 4e-16 of mpmath there, and the dual
+    check passes; where J is normal the Bessel route keeps its 2e-13."""
+    ts = np.geomspace(1e-6, 0.068, 40)
+    under = np.abs(bessel_j(d / 2 + 1, 2.0 * ts)) < np.finfo(float).tiny
+    assert under[0] and (d < 224 or under.all())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cosine_integral(d, ts)
+    want = np.array([float(_mpmath_cosine_integral(d, t)) for t in ts])
+    rel = np.abs(got - want) / want
+    assert rel[under].max() <= 4e-16
+    assert rel.max() <= 2e-13
+
+
+def test_profile_at_d100_near_the_wall(tmp_path):
+    """The argv that exited 4 while J_51(2t) underflowed: rho now grows
+    like t^2 from the wall, as the series gives it."""
+    out = tmp_path / "p.csv"
+    argv = ["halfspace", "--d", "100", "--check", "profile", "--T", "0.0001", "--count", "11",
+            "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    rows = list(csv.reader(out.open()))[1:]
+    t, rho = (np.array([float(r[i]) for r in rows[1:]]) for i in (0, 1))
+    assert rows[0][:2] == ["0.0", "0.0"]
+    assert np.allclose(rho / t**2, rho[-1] / t[-1] ** 2, rtol=1e-3)
 
 
 # ---------------------------------------------------------------------------

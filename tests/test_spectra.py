@@ -68,8 +68,15 @@ def _ref_box_eigenvalues(sides, cutoff):
     ((0.45, 2.2, 1.1), 1.5e4),
     ((0.9, 1.1, 0.7, 1.3), 2500.0),
     ((1.7, 0.8, 1.2, 0.6), 900.0),
+    ((0.3,), 20.0),  # 1-D, empty
+    ((3.0,), 20.0),  # 1-D, 4 eigenvalues
+    ((1.0,), (3.0e4 * math.pi) ** 2),  # 1-D, 29,999 eigenvalues in one outer sum
+    ((0.05, 0.06, 40.0), 2.0e4),  # needle: 3 rows of up to 1,468 columns
+    ((3.0, 4.0, 0.08), 2.0e4),  # slab: 17,470 rows of at most 3 columns
 ])
 def test_box_matches_row_loop(sides, cutoff):
+    """Bitwise the row-at-a-time enumeration, also where the column runs
+    are one (1-D), few and long (needle) or many and short (slab)."""
     got = box_spectrum(sides, cutoff).eigenvalues
     assert got.tobytes() == _ref_box_eigenvalues(sides, cutoff).tobytes()
 
