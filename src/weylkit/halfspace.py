@@ -79,7 +79,7 @@ def _cosine_bessel(d: int, t) -> np.ndarray:
     c J_nu(2t) / t^nu, taken in logarithms where t^nu overflows. Where
     J_nu(2t) is below the normal range (0 or subnormal, from d = 86 on at
     small t) and t < 1, it is the same function's series
-    psi_1 0F1(; nu + 1; -t^2) instead: 2t < 2 < nu < j_{nu,1}, so J_nu has
+    psi_1 0F1(; nu + 1; -t^2) instead: 2t < 2 <= nu < j_{nu,1}, so J_nu has
     no zero there and a tiny J_nu is one that underflowed.
     """
     nu = d / 2.0 + 1.0

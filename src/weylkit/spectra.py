@@ -1,10 +1,12 @@
 """Provably complete Dirichlet spectra below a cutoff.
 
 Boxes use separation of variables (bounded lattice enumeration of
-pi^2 sum (m_i/a_i)^2). Disks and balls share one builder,
-`_bessel_spectrum`: in dimension d the eigenvalues are (j_{nu,k}/R)^2
-for the orders nu = l + d/2 - 1, l = 0, 1, ..., each repeated by the
-dimension of the degree-l spherical harmonics,
+pi^2 sum (m_i/a_i)^2, the last side column by column over the sorted
+partial sums of the others, then one sort; see `box_spectrum`). Disks
+and balls share one builder, `_bessel_spectrum`: in dimension d the
+eigenvalues are (j_{nu,k}/R)^2 for the orders nu = l + d/2 - 1,
+l = 0, 1, ..., each repeated by the dimension of the degree-l spherical
+harmonics,
 C(l+d-1, d-1) - C(l+d-3, d-1) (the second term is 0 when l+d < 3),
 that is 1, 2, 2, ... for the disk and 2l+1 for the ball. The zeros of
 all orders come from batched passes over runs of consecutive orders

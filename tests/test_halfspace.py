@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from weylkit import halfspace
 from weylkit.bessel import bessel_j
 from weylkit.cli import main
-from weylkit.constants import TWO_PI, constants, phase_space_integral
+from weylkit.constants import TWO_PI, constants, phase_space_fraction, phase_space_integral
 from weylkit.errors import ConfigError, ConvergenceError, NumericsError
 from weylkit.halfspace import (
     absolute_moment,
@@ -288,18 +288,24 @@ def test_cosine_integral_where_the_bessel_factor_underflows(d):
 
 
 def test_profile_at_d100_near_the_wall(tmp_path):
-    """The argv that exited 4 while J_51(2t) underflowed: rho now grows
-    like t^2 from the wall, as the series gives it."""
-    out = tmp_path / "p.csv"
-    argv = ["halfspace", "--d", "100", "--check", "profile", "--T", "0.0001", "--count", "11",
+    """The argv that exited 4 while J_51(2t) underflowed: every rho is
+    within 1e-12 L_d of (2 pi)^-d psi_1 (1 - 0F1(; d/2 + 2; -t^2)) from
+    mpmath (the Bessel route's own error near the wall is about 1.4e-13
+    L_d here, and rho = L_d - K (2 pi)^-d cancels to 2e-12 L_d)."""
+    d, out = 100, tmp_path / "p.csv"
+    argv = ["halfspace", "--d", str(d), "--check", "profile", "--T", "0.0001", "--count", "11",
             "--out", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 0
     rows = list(csv.reader(out.open()))[1:]
-    t, rho = (np.array([float(r[i]) for r in rows[1:]]) for i in (0, 1))
-    assert rows[0][:2] == ["0.0", "0.0"]
-    assert np.allclose(rho / t**2, rho[-1] / t[-1] ** 2, rtol=1e-3)
+    assert len(rows) == 11 and rows[0][:2] == ["0.0", "0.0"]
+    psi1 = phase_space_fraction(d)
+    with mpmath.workdps(50):
+        scale = mpmath.mpf(psi1.numerator) / psi1.denominator / (2 * mpmath.pi) ** d
+        for t, rho, _ in rows[1:]:
+            want = scale * (1 - mpmath.hyp0f1(mpmath.mpf(d) / 2 + 2, -mpmath.mpf(t) ** 2))
+            assert abs(float(rho) - want) <= 1e-12 * constants(d).L_d, t
 
 
 # ---------------------------------------------------------------------------
