@@ -27,7 +27,7 @@ print(f"\n{'h':>9} {'N':>7} {'riesz':>12} {'residual1':>12} {'residual2':>12}")
 for r in result.records:
     print(f"{r.h:9.5f} {r.n_below:7d} {r.riesz:12.4f} {r.residual1:12.4f} {r.residual2:12.5f}")
 
-report = fit_second_term(result, domain)
+report = fit_second_term(result)
 print(f"\nfitted second coefficient:    {report.fitted_second_coefficient:.6f}")
 print(f"predicted (1/4) L_1 |bdry|:   {report.predicted_second_coefficient:.6f}")
 print(f"remainder exponent (log-log): {report.fitted_remainder_exponent:+.3f}")

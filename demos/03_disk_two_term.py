@@ -19,7 +19,7 @@ print(f"spectrum: {len(spectrum)} eigenvalues below {cutoff:.0f} (zero-finding i
 print(f"first five: {np.round(spectrum.eigenvalues[:5], 4)}")
 
 result = sweep(domain, spectrum, h_grid)
-report = fit_second_term(result, domain)
+report = fit_second_term(result)
 print(f"\nfitted second coefficient:  {report.fitted_second_coefficient:.6f}")
 print(f"predicted value (exact 1/3): {report.predicted_second_coefficient:.6f}")
 

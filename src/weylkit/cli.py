@@ -19,7 +19,7 @@ import numpy as np
 
 from . import domains, halfspace
 from .constants import constants
-from .errors import ConfigError, ResourceError, WeylkitError, exit_code_for
+from .errors import ConfigError, ResourceError, WeylkitError
 from .fdlap import assemble, fd_spectrum
 from .functionals import fit_second_term, fit_to_json, sweep, sweep_to_csv
 from .localization import ScaleFunction, bounding_box, dump_diagnostics, normalization_check
@@ -69,12 +69,11 @@ def parse_h_grid(spec: str) -> tuple[float, ...]:
     return grid
 
 
-def _sweep_inputs(args):
+def _sweep(args):
     domain = parse_domain(args.domain)
     h_grid = parse_h_grid(args.h)
     cutoff = 1.01 / min(h_grid) ** 2  # 1% headroom over the smallest h
-    spectrum = spectrum_for(domain, cutoff)
-    return domain, h_grid, spectrum
+    return sweep(domain, spectrum_for(domain, cutoff), h_grid)
 
 
 def cmd_constants(args) -> int:
@@ -84,16 +83,12 @@ def cmd_constants(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    domain, h_grid, spectrum = _sweep_inputs(args)
-    write(sweep_to_csv(sweep(domain, spectrum, h_grid)), args.out or None)
+    write(sweep_to_csv(_sweep(args)), args.out or None)
     return 0
 
 
 def cmd_fit(args) -> int:
-    domain, h_grid, spectrum = _sweep_inputs(args)
-    result = sweep(domain, spectrum, h_grid)
-    report = fit_second_term(result, domain)
-    write(fit_to_json(report), args.out or None)
+    write(fit_to_json(fit_second_term(_sweep(args))), args.out or None)
     return 0
 
 
@@ -244,7 +239,7 @@ def main(argv=None) -> int:
         except OSError as exc:  # e.g. an --out path that cannot be written
             raise ConfigError(str(exc)) from exc
     except WeylkitError as exc:
-        code = exit_code_for(exc)
+        code = exc.exit_code
         sys.stdout.write(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}})
             + "\n"

@@ -47,7 +47,6 @@ def gamma_half(m: int) -> Fraction:
 class Constants:
     """The triple (omega_d, C_d, L_d) for a fixed dimension d."""
 
-    d: int
     omega_d: float
     C_d: float
     L_d: float
@@ -73,7 +72,7 @@ def _omega(d: int) -> Fraction:
 def _exact_constants(d: int) -> Constants:
     omega = _omega(d)
     c_d = omega / (2 * _PI) ** d
-    return Constants(d=d, omega_d=float(omega), C_d=float(c_d), L_d=float(2 * c_d / (d + 2)))
+    return Constants(omega_d=float(omega), C_d=float(c_d), L_d=float(2 * c_d / (d + 2)))
 
 
 def phase_space_fraction(d: int) -> Fraction:

@@ -1,16 +1,19 @@
 """Exception hierarchy shared by all modules.
 
-Process exit codes used by the CLI: 2 config, 3 invariant violation,
-4 resource/convergence.
+Each class carries the process exit code the CLI returns for it, as its
+`exit_code` class attribute, which subclasses inherit: 2 config,
+3 invariant violation, 4 resource/convergence, 1 any other.
 """
 
 
 class WeylkitError(Exception):
     """Base class for all toolkit errors."""
+    exit_code = 1
 
 
 class ConfigError(WeylkitError):
-    """Invalid configuration, arguments, or input files (exit code 2)."""
+    """Invalid configuration, arguments, or input files."""
+    exit_code = 2
 
 
 class CompletenessError(ConfigError):
@@ -23,15 +26,18 @@ class DomainError(ConfigError):
 
 
 class InvariantViolation(WeylkitError):
-    """A mathematical invariant that must hold was violated (exit code 3)."""
+    """A mathematical invariant that must hold was violated."""
+    exit_code = 3
 
 
 class ResourceError(WeylkitError):
-    """A configured memory or size budget would be exceeded (exit code 4)."""
+    """A configured memory or size budget would be exceeded."""
+    exit_code = 4
 
 
 class ConvergenceError(WeylkitError):
-    """A numerical procedure did not reach its target tolerance (exit code 4)."""
+    """A numerical procedure did not reach its target tolerance."""
+    exit_code = 4
 
 
 class NumericsError(ConvergenceError):
@@ -40,18 +46,3 @@ class NumericsError(ConvergenceError):
 
 class FitError(ConvergenceError):
     """Not enough usable data points for a requested regression."""
-
-
-EXIT_CODES = {
-    ConfigError: 2,
-    InvariantViolation: 3,
-    ResourceError: 4,
-    ConvergenceError: 4,
-}
-
-
-def exit_code_for(exc: BaseException) -> int:
-    for cls, code in EXIT_CODES.items():
-        if isinstance(exc, cls):
-            return code
-    return 1

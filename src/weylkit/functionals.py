@@ -100,21 +100,6 @@ def _extract(p: np.ndarray, scratch: np.ndarray):
         yield q
 
 
-def exact_sum(blocks) -> float:
-    """Correctly rounded sum of every term of `blocks`, bitwise `math.fsum`'s.
-
-    `blocks` is an iterable of float64 arrays whose terms are finite and
-    below 2^1000 in magnitude; the arrays are overwritten. Each run of
-    SUM_BLOCK terms is extracted (`_extract`, the kernel of `_riesz_means`)
-    and each level summed by np.sum, which is exact; `math.fsum` rounds the
-    exact level sums once, as it rounds the terms.
-    """
-    scratch = np.empty(SUM_BLOCK)
-    return math.fsum(float(q.sum()) for block in blocks
-                     for start in range(0, block.size, SUM_BLOCK)
-                     for q in _extract(block[start:start + SUM_BLOCK], scratch))
-
-
 def _grow(partials: list[float], x: float) -> None:
     """Add x to the expansion `partials` exactly.
 
@@ -329,7 +314,7 @@ class FitReport:
     residual_norm: float
 
 
-def fit_second_term(sweep_result: SweepResult, domain) -> FitReport:
+def fit_second_term(sweep_result: SweepResult) -> FitReport:
     """Extract the boundary coefficient and the remainder decay exponent.
 
     The coefficient is the weighted least-squares slope of residual1
@@ -348,7 +333,7 @@ def fit_second_term(sweep_result: SweepResult, domain) -> FitReport:
         raise FitError(
             f"h range [{hs.min():.4g}, {hs.max():.4g}] spans less than one decade"
         )
-    d = domain.dim
+    d = sweep_result.domain.dim
     res1 = sweep_result.column("residual1")
     w = hs ** (d - 1)
     x = -hs ** (-(d - 1))
@@ -368,7 +353,7 @@ def fit_second_term(sweep_result: SweepResult, domain) -> FitReport:
     slope = float(
         np.polyfit(np.log(hs[usable]), np.log(np.abs(res2[usable])), 1)[0]
     )
-    predicted = 0.25 * constants(d - 1).L_d * domain.surface
+    predicted = 0.25 * constants(d - 1).L_d * sweep_result.domain.surface
     return FitReport(
         fitted_second_coefficient=coeff,
         predicted_second_coefficient=predicted,

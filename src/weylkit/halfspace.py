@@ -41,6 +41,7 @@ DUAL_EVAL_TOL = 1e-8  # in units of min(1, psi_1), psi_1 = K(d, 0) = max |K(d, t
 # longest Bessel zero scan, 2 t_max; boundary_coefficient(2, t_max) peaks at
 # about 0.4 GB RSS there (84 MB at t_max = 500)
 HORIZON_BUDGET = 2**17
+T_MAX = float(np.finfo(float).max) / 2  # the largest t whose 2t is finite
 
 # Gauss-Legendre rule reused for all between-zeros segment integrals
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -216,6 +217,9 @@ def cosine_integral(d: int, t):
     ts = np.asarray(t, dtype=float)
     if (ts <= 0).any():
         raise ConfigError(f"t must be positive, got {float(ts[ts <= 0][0])}")
+    if not (ts <= T_MAX).all():
+        raise ConfigError(f"t must be at most {T_MAX!r}, where 2t is finite, "
+                          f"got {float(ts[~(ts <= T_MAX)][0])}")
     flat = ts.ravel()
     c_quad, _ = _norms(d)
     via_bessel = _cosine_bessel(d, flat)
@@ -248,6 +252,8 @@ def density_profile(d: int, t):
 
 def _segment_bounds(d: int, t_max: float) -> np.ndarray:
     """[0, z_1, z_2, ...]: zeros of the correction's Bessel factor <= t_max."""
+    if t_max <= 0:
+        raise ConfigError(f"t_max must be positive, got {t_max}")
     if not 2.0 * t_max <= HORIZON_BUDGET:
         raise ResourceError(
             f"horizon t_max={t_max!r} scans Bessel zeros up to 2 t_max = {2.0 * t_max!r}, "
@@ -291,9 +297,6 @@ def boundary_coefficient(d: int, t_max: float, *, tol: float = 1e-4) -> float:
     ConvergenceError when the acceleration's error estimate exceeds `tol`
     (horizon too small).
     """
-    d = _check_dim(d)
-    if t_max <= 0:
-        raise ConfigError(f"t_max must be positive, got {t_max}")
     _, partial = boundary_partial_sums(d, t_max)
     if partial.size < 6:
         raise ConvergenceError(
@@ -332,8 +335,6 @@ def tail_bound_check(d: int, t_max: float = 400.0) -> float:
     sequence of increments raises InvariantViolation.
     """
     d = _check_dim(d)
-    if t_max <= 0:
-        raise ConfigError(f"t_max must be positive, got {t_max}")
     bounds = _segment_bounds(d, t_max)
     segs = np.abs(_segment_integrals(d, bounds, weight_t=True))
     cum = np.cumsum(segs)

@@ -240,11 +240,7 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
         i_hi = _eval_cells(integrand, centers, halfs, hi_rule)
         i_lo = _eval_cells(integrand, centers, halfs, lo_rule)
         diff = np.abs(i_hi - i_lo)
-        if depth == MAX_DEPTH:
-            total += float(i_hi.sum())
-            err += float(diff.sum())
-            break
-        thresh = budget / max(len(centers), 1)
+        thresh = budget / max(len(centers), 1) if depth < MAX_DEPTH else math.inf
         refine = diff > thresh
         total += float(i_hi[~refine].sum())
         err += float(diff[~refine].sum())
@@ -253,8 +249,7 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
         # split flagged cells into 2^d children
         c = centers[refine]
         h = halfs[refine]
-        shifts, _ = _tensor_rule(d, 2)  # corners of [-1, 1]^d scaled below
-        sign = np.sign(shifts)
+        sign = lattice([np.array([-1.0, 1.0])] * d)  # corners of [-1, 1]^d, scaled below
         centers = (c[:, None, :] + 0.5 * h[:, None, None] * sign[None, :, :]).reshape(
             -1, d
         )

@@ -30,7 +30,7 @@ import numpy as np
 from .bessel import zeros_below_orders
 from .constants import constants
 from .domains import Ball, Box, Disk
-from .errors import CompletenessError, ConfigError, ResourceError
+from .errors import ConfigError, ResourceError
 from .output import csv_text, json_text, write
 
 DEFAULT_BUDGET = 10**8  # max stored eigenvalues; read at call time
@@ -61,13 +61,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-    def restricted(self, cutoff: float) -> "Spectrum":
-        if cutoff > self.cutoff:
-            raise CompletenessError(
-                f"cannot restrict to {cutoff}: spectrum only complete below {self.cutoff}"
-            )
-        return Spectrum(self.eigenvalues[self.eigenvalues < cutoff], cutoff, self.provenance)
 
 
 def _check_budget(domain, cutoff: float, what: str) -> None:

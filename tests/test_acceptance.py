@@ -87,7 +87,7 @@ def test_criterion_1_constants_cross_check():
 def _criterion_2():
     t0 = time.perf_counter()
     dom, spec, sw = square_sweep()
-    rep = fit_second_term(sw, dom)
+    rep = fit_second_term(sw)
     target = 2.0 / (3.0 * math.pi)
     rel = abs(rep.fitted_second_coefficient - target) / target
     elapsed = time.perf_counter() - t0
@@ -107,7 +107,7 @@ def test_criterion_2_square_two_term():
 def _criterion_3():
     t0 = time.perf_counter()
     dom, spec, sw = disk_sweep()
-    rep = fit_second_term(sw, dom)
+    rep = fit_second_term(sw)
     target = 1.0 / 3.0
     rel = abs(rep.fitted_second_coefficient - target) / target
     elapsed = time.perf_counter() - t0
@@ -127,7 +127,7 @@ def test_criterion_3_disk_two_term():
 def _criterion_4():
     t0 = time.perf_counter()
     dom, _spec, sw = disk_sweep()
-    rep = fit_second_term(sw, dom)
+    rep = fit_second_term(sw)
     bound = -(2.0 / 3.0) - 0.2
     elapsed = time.perf_counter() - t0
     ok = rep.fitted_remainder_exponent >= bound

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,8 +53,23 @@ def test_rejects_bad_inputs():
         bessel_j(0.3, 1.0)
     with pytest.raises(ConfigError):
         bessel_j(0, -1.0)
+    for x in (math.inf, math.nan, -math.inf, np.array([1.0, math.nan])):
+        with pytest.raises(ConfigError, match="^Bessel argument must be finite and nonnegative$"):
+            bessel_j(0, x)
     with pytest.raises(ConfigError):
         bessel_zeros(0, 0)
+
+
+@pytest.mark.parametrize("x", [1e154, 1e300, 1.7e308])
+@pytest.mark.parametrize("nu", [0, 0.5, 1, 2.5, 113])
+def test_huge_arguments_evaluate_without_warnings(nu, x):
+    """Where x * x, 8 x or pi x overflow, J is still a finite value within
+    the large-x amplitude sqrt(2 / (pi x)), and nothing warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = bessel_j(nu, x)
+    assert math.isfinite(value)
+    assert abs(value) <= math.sqrt(2.0 / math.pi / x) * (1.0 + 1e-12)
 
 
 def test_first_zeros_of_j0():

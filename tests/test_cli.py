@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit import bessel, cli, fdlap, halfspace, localization
+from weylkit import bessel, cli, errors, fdlap, halfspace, localization
 from weylkit.cli import main, parse_domain, parse_h_grid
 from weylkit.domains import Box, Disk
 from weylkit.errors import ConfigError
@@ -165,33 +165,40 @@ def test_config_error_exit_code(tmp_path, capsys):
             assert str(missing) in err["message"]
 
 
-@pytest.mark.parametrize("argv, code, message", [
-    pytest.param(["constants", "--d", "283"], 2,
+@pytest.mark.parametrize("argv, kind, code, message", [
+    pytest.param(["constants", "--d", "283"], "ConfigError", 2,
                  "dimension 283 is too large: L_d is subnormal in float64 for d > 224",
                  id="constants-d283"),
-    pytest.param(["halfspace", "--d", "281", "--check", "dual"], 2,
+    pytest.param(["halfspace", "--d", "281", "--check", "dual"], "ConfigError", 2,
                  "dimension 281 is too large: L_d is subnormal in float64 for d > 224",
                  id="halfspace-d281"),
-    pytest.param(["sweep", "--domain", _unit_box(283), "--h", "log:0.1:0.02:5"], 2,
+    pytest.param(["sweep", "--domain", _unit_box(283), "--h", "log:0.1:0.02:5"], "ConfigError", 2,
                  "dimension 283 is too large: L_d is subnormal in float64 for d > 224",
                  id="box-283-sides"),
-    pytest.param(["sweep", "--domain", _unit_box(200), "--h", "log:0.1:0.02:5"], 4,
+    pytest.param(["sweep", "--domain", _unit_box(200), "--h", "log:0.1:0.02:5"], "ResourceError", 4,
                  "box spectrum would need ~inf eigenvalues, over the budget 1e+08",
                  id="box-200-sides"),
-    pytest.param(["sweep", "--domain", "square:1", "--h", "log:1:1e-170:6"], 2,
+    pytest.param(["sweep", "--domain", "square:1", "--h", "log:1:1e-170:6"], "ConfigError", 2,
                  "smallest h 1e-170 has h^2 = 0.0, not positive and finite",
                  id="h2-underflow"),
-    pytest.param(["sweep", "--domain", "square:1", "--h", "log:1e300:1e200:6"], 2,
+    pytest.param(["sweep", "--domain", "square:1", "--h", "log:1e300:1e200:6"], "ConfigError", 2,
                  "smallest h 1e+200 has h^2 = inf, not positive and finite",
                  id="h2-overflow"),
     # h^2 = 1e-320 is subnormal, not 0: the grid is accepted and the budget refuses it
-    pytest.param(["fit", "--domain", "square:1", "--h", "log:1:1e-160:6"], 4,
+    pytest.param(["fit", "--domain", "square:1", "--h", "log:1:1e-160:6"], "ResourceError", 4,
                  "box spectrum would need ~inf eigenvalues, over the budget 1e+08",
                  id="h2-subnormal"),
+    pytest.param(["halfspace", "--check", "profile"], "ConfigError", 2,
+                 "profile check needs --out for its CSV", id="profile-without-out"),
+    pytest.param(["localize", "--domain", "disk:1", "--l0", "0.1"], "ConfigError", 2,
+                 "localize needs --out for the diagnostics CSV", id="localize-without-out"),
+    pytest.param(["halfspace", "--check", "boundary-coefficient", "--T", "20", "--tol", "1e-12"],
+                 "ConvergenceError", 4,
+                 "boundary coefficient only converged to 3.22e-07 > tol 1e-12 within t_max=20.0",
+                 id="boundary-coefficient-tol"),
 ])
-def test_float_limit_errors(capsys, argv, code, message):
+def test_float_limit_errors(capsys, argv, kind, code, message):
     assert main(argv) == code
-    kind = "ConfigError" if code == 2 else "ResourceError"
     assert capsys.readouterr().out == json.dumps(
         {"error": {"type": kind, "message": message, "exit_code": code}}) + "\n"
 
@@ -708,6 +715,16 @@ def test_convergence_error_exit_code(capsys):
     assert main(["halfspace", "--check", "boundary-coefficient", "--T", "4"]) == 4
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "ConvergenceError"
+
+
+def test_every_error_class_has_its_exit_code():
+    assert {cls.__name__: cls.exit_code for cls in (
+        errors.WeylkitError, errors.ConfigError, errors.CompletenessError, errors.DomainError,
+        errors.InvariantViolation, errors.ResourceError, errors.ConvergenceError,
+        errors.NumericsError, errors.FitError)} == {
+        "WeylkitError": 1, "ConfigError": 2, "CompletenessError": 2, "DomainError": 2,
+        "InvariantViolation": 3, "ResourceError": 4, "ConvergenceError": 4,
+        "NumericsError": 4, "FitError": 4}
 
 
 def test_reruns_byte_identical(tmp_path, capsys):

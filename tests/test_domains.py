@@ -49,6 +49,8 @@ def test_invalid_shapes():
             Disk(radius)
     with pytest.raises(ConfigError, match="^ball radius must be positive"):
         Ball(-1.0)
+    with pytest.raises(ConfigError, match="^half-space dimension must be >= 1$"):
+        HalfSpace(0)
     with pytest.raises(ConfigError):
         Polygon([(0, 0), (1, 0), (2, 0)])  # zero area
     finite = "^polygon vertices and the area they enclose must be finite$"

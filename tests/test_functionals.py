@@ -20,6 +20,7 @@ from weylkit.errors import (
 )
 from weylkit.functionals import (
     SUM_BLOCK,
+    _extract,
     _grow,
     _riesz_means,
     _two_product,
@@ -28,7 +29,6 @@ from weylkit.functionals import (
     SweepResult,
     berezin_check,
     counting_function,
-    exact_sum,
     fit_second_term,
     fit_to_json,
     riesz_from_counting,
@@ -161,6 +161,31 @@ def test_berezin_violation_detected():
         berezin_check(fake, square(1.0), [0.5])
 
 
+@st.composite
+def _berezin_cases(draw):
+    """A 2-D or 3-D box (sides 0.5-2) or a disk (radius 0.5-2), a cutoff up
+    to 2000 (500 in 3-D) and h values whose 1/h^2 is below it."""
+    side = st.floats(0.5, 2.0)
+    kind = draw(st.sampled_from(["box2", "box3", "disk"]))
+    if kind == "disk":
+        domain = Disk(draw(side))
+    else:
+        domain = Box(tuple(draw(side) for _ in range(2 if kind == "box2" else 3)))
+    cutoff = draw(st.floats(1.0, 500.0 if kind == "box3" else 2000.0))
+    hs = draw(st.lists(st.floats(1.0001 / math.sqrt(cutoff), 5.0), min_size=1, max_size=8))
+    return domain, cutoff, hs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=_berezin_cases())
+def test_berezin_li_yau_holds_on_drawn_domains(case):
+    """Berezin-Li-Yau: riesz(h) <= L_d |Omega| h^-d on every box and disk."""
+    domain, cutoff, hs = case
+    margins = berezin_check(spectrum_for(domain, cutoff), domain, hs)
+    assert [h for h, _ in margins] == hs
+    assert all(m >= 0 for _, m in margins)
+
+
 def test_monotone_in_h():
     s = box_spectrum((1.0, 1.0), 3000.0)
     hs = np.geomspace(0.3, 0.02, 25)
@@ -240,7 +265,7 @@ def test_fit_synthetic_exact_model():
         )
         for h in hs
     ]
-    rep = fit_second_term(SweepResult(dom, records), dom)
+    rep = fit_second_term(SweepResult(dom, records))
     assert rep.fitted_second_coefficient == pytest.approx(-c, rel=1e-12)
     assert rep.residual_norm == pytest.approx(0.0, abs=1e-12)
     assert rep.predicted_second_coefficient == pytest.approx(
@@ -255,13 +280,13 @@ def test_fit_requires_enough_records():
         SweepRecord(float(h), 0, 0.0, 1.0, 0.0, 1.0 / h, 1.0) for h in hs
     ]
     with pytest.raises(FitError):
-        fit_second_term(SweepResult(dom, records), dom)
+        fit_second_term(SweepResult(dom, records))
     hs = np.geomspace(0.5, 0.2, 8)  # less than a decade
     records = [
         SweepRecord(float(h), 0, 0.0, 1.0, 0.0, 1.0 / h, 1.0) for h in hs
     ]
     with pytest.raises(FitError):
-        fit_second_term(SweepResult(dom, records), dom)
+        fit_second_term(SweepResult(dom, records))
 
 
 def test_fit_floor_excludes_converged_records():
@@ -271,14 +296,14 @@ def test_fit_floor_excludes_converged_records():
         SweepRecord(float(h), 0, 0.0, 1.0, 0.0, 0.3 / h, 0.0) for h in hs
     ]
     with pytest.raises(FitError):
-        fit_second_term(SweepResult(dom, records), dom)
+        fit_second_term(SweepResult(dom, records))
 
 
 def test_small_square_sweep_fit():
     dom = square(1.0)
     spec = box_spectrum((1.0, 1.0), 1.01 / 0.01**2)
     hs = np.geomspace(0.1, 0.01, 12)
-    rep = fit_second_term(sweep(dom, spec, hs), dom)
+    rep = fit_second_term(sweep(dom, spec, hs))
     target = 2.0 / (3.0 * math.pi)
     assert rep.fitted_second_coefficient == pytest.approx(target, rel=0.08)
     assert rep.h_range == (pytest.approx(0.01), pytest.approx(0.1))
@@ -396,19 +421,29 @@ def _terms(kind: str, n: int, seed: int) -> np.ndarray:
 KINDS = ["zeros", "riesz", "ladder", "ties", "cancel"]
 
 
+def _exact_sum(blocks) -> float:
+    """math.fsum of the exact level sums of `_extract`, SUM_BLOCK terms at a
+    time: the correctly rounded sum of every term of `blocks`, if `_extract`'s
+    levels add up to the terms exactly. The arrays are overwritten."""
+    scratch = np.empty(SUM_BLOCK)
+    return math.fsum(float(q.sum()) for block in blocks
+                     for start in range(0, block.size, SUM_BLOCK)
+                     for q in _extract(block[start:start + SUM_BLOCK], scratch))
+
+
 def _check_exact_sum(kind, n, seed):
     terms = _terms(kind, n, seed)
-    assert exact_sum([terms.copy()]).hex() == math.fsum(terms).hex()
+    assert _exact_sum([terms.copy()]).hex() == math.fsum(terms).hex()
     # split at other places than the block boundaries
     cut = n // 3
-    assert exact_sum([terms[:cut].copy(), terms[cut:].copy()]).hex() == math.fsum(terms).hex()
+    assert _exact_sum([terms[:cut].copy(), terms[cut:].copy()]).hex() == math.fsum(terms).hex()
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(KINDS), n=st.integers(0, 3 * SUM_BLOCK),
        seed=st.integers(0, 2**32 - 1))
 def test_exact_sum_is_fsum(kind, n, seed):
-    """The blocked exact sum is bitwise `math.fsum`, the reference."""
+    """`_extract`'s levels, summed exactly, give bitwise `math.fsum`, the reference."""
     _check_exact_sum(kind, n, seed)
 
 
@@ -425,7 +460,7 @@ def test_exact_sum_is_fsum_at_block_edges(kind, n):
     ([1.0, 2.0**-60, -1.0], 2.0**-60),
 ])
 def test_exact_sum_rounds_once(terms, total):
-    assert exact_sum([np.array(terms)]).hex() == total.hex()
+    assert _exact_sum([np.array(terms)]).hex() == total.hex()
 
 
 def _exact_riesz(lam: np.ndarray, hs) -> list[tuple[int, float]]:

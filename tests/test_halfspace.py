@@ -59,9 +59,16 @@ def test_invalid_arguments():
         density_profile(2, -1.0)
     with pytest.raises(ConfigError):
         density_profile(1, 3.0)
+    for t in (1e308, math.inf, math.nan):  # 2t is not finite
+        for f in (cosine_integral, density_profile):
+            with pytest.raises(ConfigError, match=r"^t must be at most 8\.988465674311579e\+307, "):
+                f(2, np.array([1.0, t]))
     for t_max in (0.0, -3.0):
-        with pytest.raises(ConfigError, match=f"t_max must be positive, got {t_max}"):
-            tail_bound_check(2, t_max)
+        for f in (tail_bound_check, boundary_coefficient, absolute_moment, boundary_partial_sums):
+            with pytest.raises(ConfigError, match=f"t_max must be positive, got {t_max}"):
+                f(2, t_max)
+    with pytest.raises(ConfigError, match="half-space model needs integer dimension"):
+        boundary_coefficient(1, -3.0)  # the dimension is checked before t_max
 
 
 def test_profile_wall_and_bulk():
@@ -80,6 +87,10 @@ def test_halfspace_density_object():
     assert 0.0 < density_profile(2, 3.0) < 2 * bulk
     with pytest.raises(ConfigError):
         density_profile(1, 3.0)
+    for t in (1e308, math.inf, math.nan):  # 2t is not finite
+        for f in (cosine_integral, density_profile):
+            with pytest.raises(ConfigError, match=r"^t must be at most 8\.988465674311579e\+307, "):
+                f(2, np.array([1.0, t]))
 
 
 def test_profile_bounds():
@@ -270,6 +281,24 @@ def test_profile_at_d224_has_no_overflow_warning(tmp_path):
         b"1000.0,3.467034311839876e-308,3.467034311839876e-308\r\n")
 
 
+@pytest.mark.parametrize("T, code, stdout", [
+    # 2t overflows at t = 1e308: refused before any evaluation
+    ("1e308", 2, '{"error": {"type": "ConfigError", "message": "t must be at most '
+                 '8.988465674311579e+307, where 2t is finite, got 1e+308", "exit_code": 2}}\n'),
+    # 2t = 1.6e308 is finite: J_nu(2t) evaluates where pi 2t and 8 (2t) overflow
+    ("8e307", 0, ""),
+])
+def test_profile_at_huge_t_has_no_warning(tmp_path, T, code, stdout):
+    src = Path(halfspace.__file__).resolve().parents[1]
+    out = tmp_path / "p.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "weylkit.cli", "halfspace", "--check", "profile",
+         "--T", T, "--count", "3", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, "")
+    assert out.exists() == (code == 0)
+
+
 @pytest.mark.parametrize("d", [86, 100, 224])
 def test_cosine_integral_where_the_bessel_factor_underflows(d):
     """Where J_{d/2+1}(2t) is 0 or subnormal the closed form is its series
@@ -298,7 +327,7 @@ def test_profile_at_d100_near_the_wall(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 0
-    rows = list(csv.reader(out.open()))[1:]
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
     assert len(rows) == 11 and rows[0][:2] == ["0.0", "0.0"]
     psi1 = phase_space_fraction(d)
     with mpmath.workdps(50):

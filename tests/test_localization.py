@@ -72,6 +72,24 @@ def test_l0_validation():
         ScaleFunction(square(1.0), 1.5)
 
 
+_CHART = "chart needs radius > 0 and alpha in (0, 1]"
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: BoundaryChart(None, None, 0.0, 0.5), _CHART, id="chart-radius-0"),
+    pytest.param(lambda: BoundaryChart(None, None, -1.0, 0.5), _CHART, id="chart-radius-negative"),
+    pytest.param(lambda: BoundaryChart(None, None, 0.1, 0.0), _CHART, id="chart-alpha-0"),
+    pytest.param(lambda: BoundaryChart(None, None, 0.1, 1.5), _CHART, id="chart-alpha-above-1"),
+    pytest.param(lambda: normalization_check(ScaleFunction(Disk(1.0), 0.1), np.array([0.5, 0.0]),
+                                             tol=0.0),
+                 "tol must be positive, got 0.0", id="normalization-tol-0"),
+])
+def test_chart_and_tolerance_validation(make, message):
+    with pytest.raises(ConfigError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "domain", [square(1.0), Disk(1.0), HalfSpace(2)], ids=["square", "disk", "half"]
 )

@@ -10,7 +10,7 @@ from scipy.special import jn_zeros
 
 import weylkit.spectra
 from weylkit.constants import constants
-from weylkit.errors import CompletenessError, ConfigError, ResourceError
+from weylkit.errors import ConfigError, ResourceError
 from weylkit.spectra import (
     Spectrum,
     _multiplicity,
@@ -96,6 +96,28 @@ def test_spectrum_rejects_bad_eigenvalues(tmp_path, values, what):
     path.write_text("lambda\n" + "".join(f"{v!r}\n" for v in values))
     with pytest.raises(ConfigError, match=what):
         load_spectrum(path)
+
+
+def _load_other_header(tmp_path):
+    path = tmp_path / "spec.csv"
+    path.write_text("eigenvalue\n4.0\n")
+    return load_spectrum(path)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda _: box_spectrum((1.0, 1.0), 0.0), "cutoff must be positive, got 0.0",
+                 id="box-cutoff-0"),
+    pytest.param(lambda _: disk_spectrum(1.0, -1.0), "cutoff must be positive, got -1.0",
+                 id="disk-cutoff-negative"),
+    pytest.param(lambda _: spectrum_for(lshape_polygon(), 10.0),
+                 "no exact spectrum generator for Polygon", id="polygon"),
+    pytest.param(_load_other_header,
+                 "{tmp}/spec.csv is not a spectrum CSV (expected header 'lambda')", id="csv-header"),
+])
+def test_builder_input_errors(tmp_path, build, message):
+    with pytest.raises(ConfigError) as exc:
+        build(tmp_path)
+    assert str(exc.value) == message.format(tmp=tmp_path)
 
 
 def test_unit_square_cutoff_50():
@@ -203,12 +225,10 @@ def test_counting_consistency_restriction():
     s = box_spectrum((1.0, 1.0), 2000.0)
     for cut in (120.0, 700.0, 1999.0):
         again = box_spectrum((1.0, 1.0), cut)
-        assert np.array_equal(s.restricted(cut).eigenvalues, again.eigenvalues)
+        assert np.array_equal(s.eigenvalues[s.eigenvalues < cut], again.eigenvalues)
     d = disk_spectrum(1.0, 500.0)
     again = disk_spectrum(1.0, 200.0)
-    assert np.allclose(d.restricted(200.0).eigenvalues, again.eigenvalues, atol=1e-10)
-    with pytest.raises(CompletenessError):
-        s.restricted(3000.0)
+    assert np.allclose(d.eigenvalues[d.eigenvalues < 200.0], again.eigenvalues, atol=1e-10)
 
 
 def test_weyl_relative_error_decreases():
