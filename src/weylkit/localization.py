@@ -22,7 +22,12 @@ satisfies the normalization
 
     int phi_u(x)^2 l(u)^{-d} du = 1   for every x,
 
-which `normalization_check` verifies by adaptive quadrature over u.
+which `normalization_check` verifies by adaptive quadrature over u. It
+evaluates the integrand only where it can be nonzero: a fixed-point bound
+r* < 2 l(x) on |x - u| over its support skips the cells beyond it, which
+keep exact-zero rows, and grad l and W are computed only at the nodes
+with |x - u| < l(u); one integrand call per refinement depth serves both
+Gauss rules. Every sum is that of the full evaluation, to the bit.
 """
 
 from __future__ import annotations
@@ -181,22 +186,65 @@ def _tensor_rule(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return lattice([nodes] * d), np.prod(lattice([weights] * d), axis=1)
 
 
+def _support_reach(sf: ScaleFunction, x: np.ndarray) -> float:
+    """r* with phi_u(x) = 0 wherever |x - u| >= r*.
+
+    d is 1-Lipschitz and l increases with d, so phi_u(x) != 0, which needs
+    |x - u| < l(u), gives r < g(r) at r = |x - u|, with g(r) the scale at
+    distance d(x) + r. g is increasing and 1/2-Lipschitz, so r < g(r)
+    holds exactly below the fixed point r* of g, and the iterates of g
+    from 1/2 > g(1/2) decrease to r* and stay above it. The margin covers
+    the rounding in g, in the distances (a few ulps of the coordinates)
+    and in the z^2 < 1 test.
+    """
+    dx = float(sf.domain.distance_to_complement(x[None, :])[0])
+    r = 0.5
+    while True:
+        s = math.hypot(dx + r, sf.l0)
+        nxt = s / (2.0 * (s + 1.0))
+        if not nxt < r:
+            break
+        r = nxt
+    return r * (1.0 + 1e-9) + 1e-13 * (1.0 + dx + float(np.max(np.abs(x))))
+
+
 def _normalization_integrand(sf: ScaleFunction, x: np.ndarray):
+    """u -> phi_u(x)^2 l(u)^{-d} for a batch u: l from the distance alone at
+    every u, grad l and W only where z^2 < 1, and an exact 0 elsewhere."""
     d = len(x)
+    c = _bump_constant(d) ** 2
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        l, _, _, z2, w = _frame(sf, u, x[None, :])
-        return _bump(z2, _bump_constant(d) ** 2, 2.0) * w * l**-d
+        diff = x - u
+        l = sf.scale(u)
+        z2 = np.sum(diff * diff, axis=1) / (l * l)
+        out = np.zeros(len(u))
+        inside = z2 < 1.0
+        if inside.any():
+            li, grad, _ = sf.scale_and_grad(u[inside])
+            w = 1.0 + np.sum(diff[inside] * grad, axis=1) / li
+            out[inside] = c * np.exp(-2.0 / (1.0 - z2[inside])) * w * li**-d
+        return out
 
     return integrand
 
 
-def _eval_cells(integrand, centers, halfs, rule):
-    pts, w = rule
-    nodes = centers[:, None, :] + halfs[:, None, None] * pts[None, :, :]
-    n, k, d = nodes.shape
-    vals = integrand(nodes.reshape(n * k, d)).reshape(n, k)
-    return vals @ w * halfs**d
+def _eval_cells(integrand, centers, halfs, near, rules):
+    """Each rule's integral over each cell, from one integrand call on the
+    nodes of every rule in the `near` cells; the other cells' node values
+    stay exact zeros, so every product keeps its shape."""
+    d = centers.shape[1]
+    pts = np.concatenate([p for p, _ in rules])
+    nodes = centers[near][:, None, :] + halfs[near][:, None, None] * pts[None, :, :]
+    vals = integrand(nodes.reshape(-1, d)).reshape(len(nodes), len(pts))
+    out = []
+    start = 0
+    for _, w in rules:
+        block = np.zeros((len(centers), len(w)))
+        block[near] = vals[:, start:start + len(w)]
+        out.append(block @ w * halfs**d)
+        start += len(w)
+    return out
 
 
 def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
@@ -208,14 +256,28 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
     That ball is seeded with a uniform cell grid of step
     SEED_CELL_FACTOR * l(x), four cells per smallest scale of variation
     there, and cells are refined where a 3- vs 5-point Gauss comparison
-    flags error. Raises NumericsError if the quadrature cannot reach
-    `tol`, and InvariantViolation if the converged value is not within
-    `tol` of 1. Raises ResourceError, before it seeds anything, if the
-    seed holds more than SEED_POINT_BUDGET points: every d >= 4 does.
+    flags error. At each depth the nodes of both rules go through one
+    integrand call, and only in the cells that reach into the ball of
+    radius r* = _support_reach(sf, x) < 2 l(x), outside which the
+    integrand is exactly 0; the other cells keep all-zero rows, so the
+    refinement threshold and every sum are those of evaluating all of
+    them. Raises ConfigError for a tol that is not finite and positive
+    or an x that is not one finite point of the domain's dimension,
+    NumericsError if the quadrature cannot reach `tol`, and
+    InvariantViolation if the converged value is not within `tol` of 1.
+    Raises ResourceError, before it seeds anything, if the seed holds
+    more than SEED_POINT_BUDGET points: every d >= 4 does.
     """
+    if not math.isfinite(tol):
+        raise ConfigError(f"tol must be finite, got {tol}")
     if tol <= 0:
         raise ConfigError(f"tol must be positive, got {tol}")
     x = np.asarray(x, dtype=float)
+    if x.shape != (sf.domain.dim,):
+        raise ConfigError(
+            f"x must be one point of dimension {sf.domain.dim}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError(f"x must be finite, got {x.tolist()}")
     d = len(x)
     lx = float(sf.scale(x[None, :])[0])
     radius = min(0.5, 2.0 * lx)
@@ -226,8 +288,8 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
             f"normalization seed of {2 * n}^{d} cells x 5^{d} points is over the budget "
             f"{SEED_POINT_BUDGET}")
     integrand = _normalization_integrand(sf, x)
-    lo_rule = _tensor_rule(d, 3)
-    hi_rule = _tensor_rule(d, 5)
+    rules = (_tensor_rule(d, 5), _tensor_rule(d, 3))
+    reach = _support_reach(sf, x)
     centers = lattice([(np.arange(-n, n) + 0.5) * h0] * d) + x[None, :]
     halfs = np.full(len(centers), h0 / 2.0)
     keep = np.linalg.norm(centers - x[None, :], axis=1) <= radius + halfs * math.sqrt(d)
@@ -237,8 +299,8 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
     err = 0.0
     budget = tol / 3.0
     for depth in range(MAX_DEPTH + 1):
-        i_hi = _eval_cells(integrand, centers, halfs, hi_rule)
-        i_lo = _eval_cells(integrand, centers, halfs, lo_rule)
+        near = np.linalg.norm(centers - x[None, :], axis=1) - halfs * math.sqrt(d) < reach
+        i_hi, i_lo = _eval_cells(integrand, centers, halfs, near, rules)
         diff = np.abs(i_hi - i_lo)
         thresh = budget / max(len(centers), 1) if depth < MAX_DEPTH else math.inf
         refine = diff > thresh

@@ -10,8 +10,14 @@ from scipy.integrate import quad
 
 from weylkit import localization
 from weylkit.constants import constants
-from weylkit.domains import Ball, Box, Disk, HalfSpace, square
-from weylkit.errors import ConfigError, DomainError, InvariantViolation, NumericsError
+from weylkit.domains import Ball, Box, Disk, HalfSpace, lattice, square
+from weylkit.errors import (
+    ConfigError,
+    DomainError,
+    InvariantViolation,
+    NumericsError,
+    WeylkitError,
+)
 from weylkit.localization import (
     BoundaryChart,
     ScaleFunction,
@@ -21,6 +27,7 @@ from weylkit.localization import (
     jacobian_factor,
     mapped_volume_mc,
     _normalization_integrand,
+    _support_reach,
     mother_bump,
     normalization_check,
     partition_eval,
@@ -75,16 +82,46 @@ def test_l0_validation():
 _CHART = "chart needs radius > 0 and alpha in (0, 1]"
 
 
+def _check(domain, x, tol=1e-3):
+    return lambda: normalization_check(ScaleFunction(domain, 0.1), np.array(x), tol=tol)
+
+
 @pytest.mark.parametrize("make, message", [
     pytest.param(lambda: BoundaryChart(None, None, 0.0, 0.5), _CHART, id="chart-radius-0"),
     pytest.param(lambda: BoundaryChart(None, None, -1.0, 0.5), _CHART, id="chart-radius-negative"),
     pytest.param(lambda: BoundaryChart(None, None, 0.1, 0.0), _CHART, id="chart-alpha-0"),
     pytest.param(lambda: BoundaryChart(None, None, 0.1, 1.5), _CHART, id="chart-alpha-above-1"),
-    pytest.param(lambda: normalization_check(ScaleFunction(Disk(1.0), 0.1), np.array([0.5, 0.0]),
-                                             tol=0.0),
+    pytest.param(_check(Disk(1.0), [0.5, 0.0], tol=0.0),
                  "tol must be positive, got 0.0", id="normalization-tol-0"),
+    pytest.param(_check(Disk(1.0), [0.5, 0.0], tol=-1e-3),
+                 "tol must be positive, got -0.001", id="normalization-tol-negative"),
+    # nan passed `tol <= 0`, and the check returned without certifying anything
+    pytest.param(_check(Disk(1.0), [0.5, 0.0], tol=math.nan),
+                 "tol must be finite, got nan", id="normalization-tol-nan"),
+    pytest.param(_check(Disk(1.0), [0.5, 0.0], tol=math.inf),
+                 "tol must be finite, got inf", id="normalization-tol-inf"),
+    # a bare ValueError from int(nan) in the seed size
+    pytest.param(_check(Disk(1.0), [math.nan, 0.0]),
+                 "x must be finite, got [nan, 0.0]", id="normalization-x-nan"),
+    pytest.param(_check(square(1.0), [0.5, math.inf]),
+                 "x must be finite, got [0.5, inf]", id="normalization-x-inf"),
+    # a disk integrated a 1-D or 3-D x, a box raised a broadcast ValueError
+    pytest.param(_check(Disk(1.0), [0.5]),
+                 "x must be one point of dimension 2, got shape (1,)", id="normalization-disk-x-1d"),
+    pytest.param(_check(Disk(1.0), [0.5, 0.0, 0.0]),
+                 "x must be one point of dimension 2, got shape (3,)", id="normalization-disk-x-3d"),
+    pytest.param(_check(square(1.0), [0.5, 0.5, 0.5]),
+                 "x must be one point of dimension 2, got shape (3,)", id="normalization-box-x-3d"),
+    pytest.param(_check(Ball(1.0), [[0.5, 0.0, 0.0]]),
+                 "x must be one point of dimension 3, got shape (1, 3)", id="normalization-ball-x-row"),
 ])
-def test_chart_and_tolerance_validation(make, message):
+def test_chart_and_tolerance_validation(monkeypatch, make, message):
+    def unused(*args):
+        raise AssertionError("seeded before the input was checked")
+
+    # normalization_check refuses its input before it measures or seeds anything
+    monkeypatch.setattr(ScaleFunction, "scale", unused)
+    monkeypatch.setattr(localization, "_tensor_rule", unused)
     with pytest.raises(ConfigError) as exc:
         make()
     assert str(exc.value) == message
@@ -335,13 +372,21 @@ def _support_cases(draw):
 @given(case=_support_cases(), data=st.data())
 def test_normalization_support_lemma(case, data):
     # l is 1/2-Lipschitz, so phi_u(x) != 0 needs |x - u| < 2 l(x), and then
-    # l(u) > 2 l(x)/3: normalization_check seeds only that ball
+    # l(u) > 2 l(x)/3; the reach r* of _support_reach is tighter still:
+    # normalization_check evaluates only the cells that reach into B(x, r*)
     domain, l0, x = case
     sf = ScaleFunction(domain, l0)
     lx = float(sf.scale(x[None, :])[0])
-    # radii anywhere in B(x, 1/2), and around the support edge 2 l(x)
+    reach = _support_reach(sf, x)
+    assert reach <= 2 * lx
+    # r* lies beyond the fixed point of g (the scale at distance d(x) + r)
+    # by more than rounding, so z^2 < 1 fails clearly at |x - u| >= r*
+    s = math.hypot(float(domain.distance_to_complement(x[None, :])[0]) + reach, l0)
+    assert s / (2.0 * (s + 1.0)) < reach * (1.0 - 1e-10)
+    # radii anywhere in B(x, 1/2), and around the support edges r* and 2 l(x)
     radius = st.one_of(
-        st.floats(0.0, 0.5), st.floats(0.0, 1.25).map(lambda f: min(0.5, 2 * lx * f))
+        st.floats(0.0, 0.5), st.floats(0.0, 1.25).map(lambda f: min(0.5, 2 * lx * f)),
+        st.floats(0.9, 1.1).map(lambda f: reach * f),
     )
     polar = data.draw(
         st.lists(st.tuples(radius, st.floats(0.0, 2 * math.pi)), min_size=1, max_size=32)
@@ -349,10 +394,116 @@ def test_normalization_support_lemma(case, data):
     r = np.array([p[0] for p in polar])
     theta = np.array([p[1] for p in polar])
     u = x[None, :] + r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    # along grad d, where d(u) = d(x) + |x - u| up to a ridge, l(u) = |x - u|
+    # at the exact fixed point, so the reach's margin is all that is left
+    gd, _ = domain.grad_distance(x[None, :])
+    u = np.concatenate([u, x[None, :] + reach * gd])
     vals = _normalization_integrand(sf, x)(u)
-    outside = np.linalg.norm(x[None, :] - u, axis=1) >= 2 * lx
-    assert np.all(vals[outside] == 0.0)
+    dist = np.linalg.norm(x[None, :] - u, axis=1)
+    assert np.all(vals[dist >= 2 * lx] == 0.0)
+    assert np.all(vals[dist >= reach] == 0.0)
     assert np.all(np.asarray(sf.scale(u))[vals != 0.0] > 2 * lx / 3)
+
+
+def _reference_normalization_check(sf, x, tol):
+    """normalization_check with every node of every cell evaluated, in two
+    integrand calls per depth, one per Gauss rule."""
+    d = len(x)
+    lx = float(sf.scale(x[None, :])[0])
+    radius = min(0.5, 2.0 * lx)
+    h0 = localization.SEED_CELL_FACTOR * lx
+    n = int(math.ceil(radius / h0)) + 1
+
+    def integrand(u):
+        l, _, _, z2, w = localization._frame(sf, u, x[None, :])
+        return localization._bump(z2, localization._bump_constant(d) ** 2, 2.0) * w * l**-d
+
+    def eval_cells(centers, halfs, k):
+        pts, w = localization._tensor_rule(d, k)
+        nodes = centers[:, None, :] + halfs[:, None, None] * pts[None, :, :]
+        vals = integrand(nodes.reshape(-1, d)).reshape(len(centers), len(w))
+        return vals @ w * halfs**d
+
+    centers = lattice([(np.arange(-n, n) + 0.5) * h0] * d) + x[None, :]
+    halfs = np.full(len(centers), h0 / 2.0)
+    keep = np.linalg.norm(centers - x[None, :], axis=1) <= radius + halfs * math.sqrt(d)
+    centers, halfs = centers[keep], halfs[keep]
+    total = 0.0
+    err = 0.0
+    budget = tol / 3.0
+    for depth in range(localization.MAX_DEPTH + 1):
+        i_hi = eval_cells(centers, halfs, 5)
+        i_lo = eval_cells(centers, halfs, 3)
+        diff = np.abs(i_hi - i_lo)
+        thresh = budget / max(len(centers), 1) if depth < localization.MAX_DEPTH else math.inf
+        refine = diff > thresh
+        total += float(i_hi[~refine].sum())
+        err += float(diff[~refine].sum())
+        if not refine.any():
+            break
+        c = centers[refine]
+        h = halfs[refine]
+        sign = lattice([np.array([-1.0, 1.0])] * d)
+        centers = (c[:, None, :] + 0.5 * h[:, None, None] * sign[None, :, :]).reshape(-1, d)
+        halfs = np.repeat(h / 2.0, 2**d)
+    if err > tol:
+        raise NumericsError(
+            f"normalization quadrature error estimate {err:.3g} exceeds tol {tol:g}")
+    if abs(total - 1.0) >= tol:
+        raise InvariantViolation(
+            f"partition normalization at x={x.tolist()} is {total!r}, off 1 by "
+            f"{abs(total - 1.0):.3g} >= tol {tol:g}"
+        )
+    return total
+
+
+def _outcome(check, sf, x, tol):
+    """The bits of the value, or the type and message of the error."""
+    try:
+        return check(sf, x, tol).hex()
+    except WeylkitError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _box_cases(draw, domain, lo, hi):
+    """(domain, l0, x) with x anywhere in the box (lo, hi) around the domain."""
+    return domain, draw(st.floats(0.02, 1.0)), np.array([draw(st.floats(a, b)) for a, b in zip(lo, hi)])
+
+
+@pytest.mark.parametrize("cases, examples", [
+    pytest.param(st.one_of(_support_cases(), _box_cases(Box((1.3, 0.7)), (-0.2,) * 2, (1.5, 0.9))),
+                 150, id="2d"),
+    pytest.param(st.one_of(_box_cases(Box((1.0, 1.0, 1.0)), (-0.2,) * 3, (1.2,) * 3),
+                           _box_cases(Ball(1.0), (-1.2,) * 3, (1.2,) * 3)),
+                 6, id="3d"),
+])
+def test_normalization_matches_every_node_reference(cases, examples):
+    # skipping the cells beyond the reach and the nodes outside the support
+    # leaves every sum of the full evaluation, to the bit; a 3-D case costs
+    # about 100 2-D ones
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(case=cases, tol=st.sampled_from([1e-2, 1e-3, 1e-4]))
+    def check(case, tol):
+        domain, l0, x = case
+        sf = ScaleFunction(domain, l0)
+        assert (_outcome(normalization_check, sf, x, tol)
+                == _outcome(_reference_normalization_check, sf, x, tol))
+
+    check()
+
+
+@pytest.mark.parametrize("scale, x, tol, error", [
+    # W from an overridden scale_and_grad, and a tol the quadrature cannot reach
+    *[(_FlatGradientScale, x, 1e-3, InvariantViolation)
+      for x in ((0.5, 0.0), (0.9, 0.0), (0.95, 0.0))],
+    (ScaleFunction, (0.9, 0.0), 1e-12, NumericsError),
+])
+def test_normalization_matches_every_node_reference_when_it_raises(scale, x, tol, error):
+    sf = scale(Disk(1.0), 0.1)
+    outcome = _outcome(normalization_check, sf, np.array(x), tol)
+    assert outcome[0] is error
+    assert outcome == _outcome(_reference_normalization_check, sf, np.array(x), tol)
 
 
 @pytest.mark.parametrize(
