@@ -48,8 +48,10 @@ zeros enter the table only after they pass it against each neighbouring
 order of the request: the last order of a pass waits for the next
 pass's check, unless its pass is the request's last. New zeros that
 would take the table over ZERO_TABLE_BUDGET zeros are returned and not
-stored. A request past an order's scanned range scans that order again
-and replaces its entry.
+stored. A request past an order's stored x_max extends the entry: the
+order's grid starts at its last point below that x_max, and the zeros
+of those brackets from x_max on are appended to the stored ones, which
+by the same prefix property are bitwise a scan of the whole grid.
 """
 
 from __future__ import annotations
@@ -419,14 +421,25 @@ def _check_interlacing(orders, zeros, x_max: float) -> None:
             f"below {x_max} do not interlace")
 
 
-def _zeros_pass(orders, x_max: float) -> list[np.ndarray]:
+def _zeros_pass(orders, x_max: float, entries) -> list[np.ndarray]:
     """The zeros below x_max of each of `orders` (checked), from one
-    concatenated scan grid and one batched refinement of its brackets."""
+    concatenated scan grid and one batched refinement of its brackets.
+
+    entries[i] is None or the table's (x0, zeros below x0) for orders[i],
+    with x0 < x_max. In the latter case that order's grid is cut to
+    start at its last point below x0: the brackets before it hold no zero
+    at or above x0, and each bracket is refined on its own, so the new
+    zeros in [x0, x_max) appended to the stored ones are bitwise those of
+    scanning the whole grid.
+    """
     zeros = [np.empty(0) for _ in orders]
     live = [i for i, nu in enumerate(orders) if x_max > nu]
     if live:
-        grids = [np.arange(max(orders[i], 1e-3), x_max + 2.0 * SCAN_STEP, SCAN_STEP)
-                 for i in live]
+        known = [entries[i] or (-math.inf, np.empty(0)) for i in live]
+        grids = []
+        for i, (x0, _) in zip(live, known):
+            grid = np.arange(max(orders[i], 1e-3), x_max + 2.0 * SCAN_STEP, SCAN_STEP)
+            grids.append(grid[max(grid.searchsorted(x0) - 1, 0):])
         ends = np.cumsum([g.size for g in grids])
         grid = np.concatenate(grids)
         nu = np.repeat([orders[i] for i in live], np.diff(ends, prepend=0))
@@ -437,9 +450,9 @@ def _zeros_pass(orders, x_max: float) -> list[np.ndarray]:
         idx = np.flatnonzero(flip)
         zs = _refine(nu[idx], grid[idx], grid[idx + 1], vals[idx])
         counts = np.bincount(np.searchsorted(ends, idx, "right"), minlength=len(live))
-        for i, z in zip(live, np.split(zs, np.cumsum(counts)[:-1])):
+        for i, (x0, old), z in zip(live, known, np.split(zs, np.cumsum(counts)[:-1])):
             z = np.unique(z)
-            zeros[i] = z[z < x_max]
+            zeros[i] = np.concatenate([old, z[(z >= x0) & (z < x_max)]])
     return zeros
 
 
@@ -454,23 +467,29 @@ def zeros_below_orders(orders, x_max: float) -> Iterator[np.ndarray]:
     of PASS_POINTS grid points, and a pass runs only when its first order
     is asked for: memory stays bounded and a caller that stops early skips
     the later passes. An order the zero table has scanned to x_max or
-    beyond is served from it and takes no room in a pass. Raises
-    InvariantViolation if the zeros of consecutive orders do not
-    interlace.
+    beyond is served from it and takes no room in a pass; one scanned to
+    some x0 < x_max is extended from x0 and counts only the points of its
+    grid from x0 on. The interlacing check runs on every order's whole
+    zeros, stored ones included. Raises InvariantViolation if the zeros of
+    consecutive orders do not interlace, and then stores none of the new
+    ones that the check has not passed.
     """
     orders = [_check_order(nu) for nu in orders]
     runs, at = {}, 0.0
     for nu in orders:
         runs.setdefault(int(at // PASS_POINTS), []).append(nu)
-        if not x_max <= _ZERO_TABLE.get(nu, (-math.inf,))[0]:  # not stored that far
-            at += max(x_max - nu + 2.0, 0.0)  # about the size of nu's grid
+        x0 = _ZERO_TABLE.get(nu, (-math.inf,))[0]
+        if not x_max <= x0:  # not stored that far
+            at += max(x_max - max(nu, x0) + 2.0, 0.0)  # about the size of nu's new grid
     runs = list(runs.values())
     prev_nu, prev_z, held = [], [], {}
     for r, run in enumerate(runs):
         zeros = [_stored(nu, x_max) for nu in run]
         miss = [i for i, z in enumerate(zeros) if z is None]
         if miss:
-            for i, z in zip(miss, _zeros_pass([run[i] for i in miss], x_max)):
+            new = _zeros_pass([run[i] for i in miss], x_max,
+                              [_ZERO_TABLE.get(run[i]) for i in miss])
+            for i, z in zip(miss, new):
                 zeros[i] = z
         _check_interlacing(prev_nu + run, prev_z + zeros, x_max)
         found = held | {run[i]: zeros[i] for i in miss}

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import constants
-from .domains import Box, Disk, lattice
+from .domains import Box, Disk, lattice, row_norm, row_sum
 from .errors import ConfigError, DomainError, InvariantViolation, NumericsError, ResourceError
 from .output import csv_text, write
 
@@ -105,8 +105,8 @@ def _frame(sf: ScaleFunction, u: np.ndarray, x: np.ndarray):
     scale query at u: l and grad l per center, W = 1 + (x - u) . grad l / l."""
     l, grad, _ = sf.scale_and_grad(u)
     diff = x - u
-    return (l, grad, diff, np.sum(diff * diff, axis=1) / (l * l),
-            1.0 + np.sum(diff * grad, axis=1) / l)
+    return (l, grad, diff, row_sum(diff * diff) / (l * l),
+            1.0 + row_sum(diff * grad) / l)
 
 
 def jacobian_factor(sf: ScaleFunction, x, u) -> float:
@@ -144,7 +144,7 @@ def _bump(r2: np.ndarray, c: float, k: float) -> np.ndarray:
 
 def mother_bump(d: int, z) -> np.ndarray:
     """Smooth bump with support {|z| < 1} and unit L2 norm."""
-    return _bump(np.sum(z * z, axis=1), _bump_constant(d), 1.0)
+    return _bump(row_sum(z * z), _bump_constant(d), 1.0)
 
 
 def partition_eval(sf: ScaleFunction, u, x) -> np.ndarray:
@@ -217,12 +217,12 @@ def _normalization_integrand(sf: ScaleFunction, x: np.ndarray):
     def integrand(u: np.ndarray) -> np.ndarray:
         diff = x - u
         l = sf.scale(u)
-        z2 = np.sum(diff * diff, axis=1) / (l * l)
+        z2 = row_sum(diff * diff) / (l * l)
         out = np.zeros(len(u))
         inside = z2 < 1.0
         if inside.any():
             li, grad, _ = sf.scale_and_grad(u[inside])
-            w = 1.0 + np.sum(diff[inside] * grad, axis=1) / li
+            w = 1.0 + row_sum(diff[inside] * grad) / li
             out[inside] = c * np.exp(-2.0 / (1.0 - z2[inside])) * w * li**-d
         return out
 
@@ -292,14 +292,14 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
     reach = _support_reach(sf, x)
     centers = lattice([(np.arange(-n, n) + 0.5) * h0] * d) + x[None, :]
     halfs = np.full(len(centers), h0 / 2.0)
-    keep = np.linalg.norm(centers - x[None, :], axis=1) <= radius + halfs * math.sqrt(d)
+    keep = row_norm(centers - x[None, :]) <= radius + halfs * math.sqrt(d)
     centers, halfs = centers[keep], halfs[keep]
 
     total = 0.0
     err = 0.0
     budget = tol / 3.0
     for depth in range(MAX_DEPTH + 1):
-        near = np.linalg.norm(centers - x[None, :], axis=1) - halfs * math.sqrt(d) < reach
+        near = row_norm(centers - x[None, :]) - halfs * math.sqrt(d) < reach
         i_hi, i_lo = _eval_cells(integrand, centers, halfs, near, rules)
         diff = np.abs(i_hi - i_lo)
         thresh = budget / max(len(centers), 1) if depth < MAX_DEPTH else math.inf
@@ -405,7 +405,7 @@ class BoundaryChart:
 def _shear(chart: BoundaryChart, x, sign: float) -> np.ndarray:
     """(x', x_d) -> (x', x_d + sign * f(x')) on the chart disk."""
     xp = x[:, :-1]
-    if np.any(np.linalg.norm(xp, axis=1) > chart.radius * (1.0 + 1e-12)):
+    if np.any(row_norm(xp) > chart.radius * (1.0 + 1e-12)):
         raise DomainError(
             f"tangential coordinate outside the chart disk of radius {chart.radius}"
         )
@@ -463,10 +463,10 @@ def surface_defect(chart: BoundaryChart, phi2) -> float:
     axis, weights = np.concatenate([t - 1.0, t + 1.0]) / 2.0, np.concatenate([wt, wt]) / 2.0
     nodes = lattice([axis] * (chart.dim - 1)) * r
     w = np.prod(lattice([weights] * (chart.dim - 1)), axis=1)
-    inside = np.linalg.norm(nodes, axis=1) < r
+    inside = row_norm(nodes) < r
     grads = np.asarray(chart.grad_f(nodes[inside]))
     vals = np.zeros(len(nodes))
-    vals[inside] = np.asarray(phi2(nodes[inside])) * (np.sqrt(1.0 + np.sum(grads**2, axis=1)) - 1.0)
+    vals[inside] = np.asarray(phi2(nodes[inside])) * (np.sqrt(1.0 + row_sum(grads**2)) - 1.0)
     return float(np.sum(vals * w) * r ** (chart.dim - 1))
 
 
@@ -474,10 +474,10 @@ def holder_chart(c: float, alpha: float, radius: float, dim: int = 2) -> Boundar
     """Chart family f(x') = c |x'|^{1 + alpha}, exactly C^{1, alpha}."""
 
     def f(xp):
-        return c * np.linalg.norm(xp, axis=1) ** (1.0 + alpha)
+        return c * row_norm(xp) ** (1.0 + alpha)
 
     def grad_f(xp):
-        r = np.linalg.norm(xp, axis=1)
+        r = row_norm(xp)
         scale = c * (1.0 + alpha) * np.where(r > 0, r, 1.0) ** (alpha - 1.0)
         return scale[:, None] * np.where(r[:, None] > 0, xp, 0.0)
 
@@ -488,7 +488,7 @@ def bump_weight(radius: float):
     """A fixed smooth profile rescaled to the chart disk, for defect tests."""
 
     def phi2(xp):
-        return _bump(np.sum(xp * xp, axis=1) / radius**2, 1.0, 2.0)
+        return _bump(row_sum(xp * xp) / radius**2, 1.0, 2.0)
 
     return phi2
 

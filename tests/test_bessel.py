@@ -410,7 +410,7 @@ def test_pass_makes_at_most_ten_calls(monkeypatch, orders, x_max):
         return j(nu, x)
 
     monkeypatch.setattr(bessel, "_j", spy)
-    zeros = bessel._zeros_pass([float(nu) for nu in orders], x_max)
+    zeros = bessel._zeros_pass([float(nu) for nu in orders], x_max, [None] * len(orders))
     brackets = calls[1] // 3  # also those just above x_max
     assert brackets >= sum(z.size for z in zeros) > 0
     assert 6 < len(calls) <= 1 + 5 + 4
@@ -671,9 +671,9 @@ def test_spectrum_stops_after_first_empty_order(monkeypatch, d, build):
     seen = []
     zeros_pass = bessel._zeros_pass
 
-    def spy(orders, x_max):
+    def spy(orders, *rest):
         seen.extend(orders)
-        return zeros_pass(orders, x_max)
+        return zeros_pass(orders, *rest)
 
     monkeypatch.setattr(bessel, "_zeros_pass", spy)
     got = build(1.0, 400.0).eigenvalues
@@ -682,21 +682,71 @@ def test_spectrum_stops_after_first_empty_order(monkeypatch, d, build):
     assert seen[-1] == first_empty < 19.0
 
 
+# j_{3,3}, bitwise as a cold scan finds it
+_J_3_3 = float(_ref_zeros_below(3.0, 20.0)[2])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(nu=st.integers(0, 200).map(lambda n: n / 2.0),
-       big=st.floats(0.0, 1000.0), frac=st.floats(0.0, 1.0))
-@example(nu=0.0, big=1000.0, frac=0.5)
-@example(nu=3.0, big=21.0, frac=1.0)  # x = X
-@example(nu=40.0, big=130.0, frac=0.3)  # x below the first zero
-def test_stored_zeros_are_the_cold_bytes(nu, big, frac):
-    """The zeros below x read from the table after a scan to X >= x are
-    bitwise those of a cold scan to x, and the entry keeps the larger X."""
+       xs=st.lists(st.floats(0.0, 1000.0), min_size=3, max_size=3).map(sorted),
+       x=st.floats(0.0, 1000.0))
+@example(nu=0.0, xs=[300.0, 700.0, 1000.0], x=500.0)
+@example(nu=3.0, xs=[_J_3_3, 60.0, 200.0], x=_J_3_3)  # X_1 and x at a zero
+@example(nu=2.5, xs=[2.0, 19.5, 42.5], x=19.5)  # X_1 <= nu, then grid points nu + k
+@example(nu=0.0, xs=[1e-3, 17.000999999999998, 50.00099999999999],
+         x=17.000999999999998)  # grid points 0, 17 and 50 of nu = 0
+@example(nu=40.0, xs=[41.0, 45.0, 130.0], x=44.0)  # below the first zero, j_{40,1} ~ 46.8
+@example(nu=3.0, xs=[10.0, 21.0, 21.0], x=21.0)  # x = X
+def test_stored_zeros_are_the_cold_bytes(nu, xs, x):
+    """Each request of a growing sequence X_1 <= X_2 <= X_3, which extends the
+    stored entry, and then the zeros below x <= X_3 read from the table, are
+    bitwise those of a cold scan; the entry keeps the largest X."""
     bessel._ZERO_TABLE.clear()  # the fixture clears it once per test, not per example
-    x = big * frac
-    want_big = _cold(nu, big)
-    assert zeros_below(nu, big).tobytes() == want_big.tobytes()
+    for big in xs:
+        assert zeros_below(nu, big).tobytes() == _cold(nu, big).tobytes(), big
+    x = min(x, xs[-1])
     assert zeros_below(nu, x).tobytes() == _cold(nu, x).tobytes()
-    assert bessel._ZERO_TABLE[nu][0] == big
+    assert bessel._ZERO_TABLE[nu][0] == xs[-1]
+
+
+@pytest.mark.parametrize("nu, x1, x2", [
+    (2.0, 800.0, 830.0), (3.5, 800.0, 830.0), (2.0, 10.0, 10.5), (0.0, 20.3, 20.8),
+    (40.0, 41.0, 130.0), (3.0, _J_3_3, 60.0), (2.5, 2.0, 19.5)])
+def test_extension_scans_only_the_new_grid(monkeypatch, nu, x1, x2):
+    """An order stored up to X_1 and asked for up to X_2 scans its grid only
+    from its last point below X_1: fewer than (X_2 - X_1) / SCAN_STEP + 4
+    points (so at most + 3 for a whole difference), and the zeros are a cold
+    scan's."""
+    zeros_below(nu, x1)
+    sizes = []
+    j = bessel._j
+
+    def spy(nu, x):
+        sizes.append(x.size)
+        return j(nu, x)
+
+    monkeypatch.setattr(bessel, "_j", spy)
+    got = zeros_below(nu, x2)
+    assert 0 < sizes[0] < (x2 - x1) / bessel.SCAN_STEP + 4
+    monkeypatch.setattr(bessel, "_j", j)
+    assert got.tobytes() == _cold(nu, x2).tobytes()
+
+
+def test_bad_extension_raises_and_stores_nothing(monkeypatch):
+    """New zeros that do not interlace raise, also where they extend stored
+    ones, and the table keeps the entries it had."""
+    list(zeros_below_orders([2.0, 3.0], 30.0))
+    before = {nu: (x, z.tobytes()) for nu, (x, z) in bessel._ZERO_TABLE.items()}
+    refine = bessel._refine
+
+    def bad(nu, lo, hi, flo):  # J_2's new zeros moved 2 to the right
+        z = refine(nu, lo, hi, flo)
+        return np.where(nu == 2.0, z + 2.0, z)
+
+    monkeypatch.setattr(bessel, "_refine", bad)
+    with pytest.raises(InvariantViolation, match="J_2.0 .* and J_3.0"):
+        list(zeros_below_orders([2.0, 3.0], 60.0))
+    assert {nu: (x, z.tobytes()) for nu, (x, z) in bessel._ZERO_TABLE.items()} == before
 
 
 @pytest.mark.parametrize("d, build", [(2, disk_spectrum), (3, ball_spectrum)])

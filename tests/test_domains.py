@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -16,9 +17,10 @@ from weylkit.domains import (
     lshape_polygon,
     square,
 )
-from weylkit.errors import ConfigError
+from weylkit import localization
+from weylkit.errors import ConfigError, WeylkitError
 from weylkit.fdlap import assemble
-from weylkit.localization import ScaleFunction
+from weylkit.localization import ScaleFunction, normalization_check
 
 
 def test_box_geometry():
@@ -278,3 +280,175 @@ def test_point_queries_are_rowwise(case, l0):
         for got, want in zip(_as_tuple(query(batch)), _rowwise(query, batch), strict=True):
             assert got.shape[0] == len(batch)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# column-by-column reductions against the numpy axis=1 code they replaced
+
+
+def _axis_sum(a):
+    return np.sum(a, axis=1)
+
+
+def _axis_norm(a):
+    return np.linalg.norm(a, axis=1)
+
+
+class _AxisQueries:
+    """A Box, Disk or Ball whose point queries are the numpy axis=1 code,
+    sort and argmin that the column-by-column reductions replaced."""
+
+    def __init__(self, domain):
+        self.domain, self.dim = domain, domain.dim
+
+    def _box(self):
+        return np.asarray(self.domain.sides) if isinstance(self.domain, Box) else None
+
+    def contains(self, u):
+        a = self._box()
+        if a is None:
+            return np.sum(u * u, axis=1) < self.domain.radius**2
+        return np.all((u > 0) & (u < a), axis=1)
+
+    def distance_to_complement(self, u):
+        a = self._box()
+        if a is None:
+            return np.clip(self.domain.radius - np.sqrt(np.sum(u * u, axis=1)), 0.0, None)
+        return np.clip(np.minimum(u, a - u).min(axis=1), 0.0, None)
+
+    def distance_to_boundary(self, u):
+        a = self._box()
+        if a is None:
+            return np.abs(self.domain.radius - np.sqrt(np.sum(u * u, axis=1)))
+        inside = np.minimum(u, a - u).min(axis=1)
+        out = np.maximum(np.maximum(-u, u - a), 0.0)
+        return np.where(inside > 0, inside, np.sqrt(np.sum(out * out, axis=1)))
+
+    def grad_distance(self, u):
+        a = self._box()
+        if a is None:
+            r = np.sqrt(np.sum(u * u, axis=1))
+            safe = np.where(r > 0, r, 1.0)
+            grad = np.where((r < self.domain.radius)[:, None], -u / safe[:, None], 0.0)
+            return grad, (r > 1e-12) & (np.abs(r - self.domain.radius) > 1e-12)
+        flat = np.stack([u, a - u], axis=2).reshape(len(u), 2 * a.size)
+        order = np.sort(flat, axis=1)
+        tie = (order[:, 1] - order[:, 0]) <= 1e-12 * (1.0 + a.max())
+        k = np.argmin(flat, axis=1)
+        grad = np.zeros_like(u)
+        grad[np.arange(len(u)), k // 2] = np.where(k % 2 == 0, 1.0, -1.0)
+        inside = np.all((u > 0) & (u < a), axis=1)
+        grad[~inside] = 0.0
+        strictly_out = np.any((u < -1e-12) | (u > a + 1e-12), axis=1)
+        return grad, inside & ~tie | strictly_out
+
+
+@contextlib.contextmanager
+def _axis_code(domain, l0):
+    """A ScaleFunction on `domain` whose queries, and the localization
+    module's row sums and norms, are the axis=1 code."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localization, "row_sum", _axis_sum)
+        mp.setattr(localization, "row_norm", _axis_norm)
+        yield ScaleFunction(_AxisQueries(domain), l0)
+
+
+@st.composite
+def _column_cases(draw):
+    """(domain, batch): a Box with 1-7 sides, a Disk or a Ball, and a batch of
+    1, 2, 17 or 1,000 rows, each drawn from one of the kinds of points of
+    _domain_batches: anywhere in and around the domain, on a face (the
+    sphere for a disk or ball), on a box's ridge where d faces tie, at a
+    box corner, or with some coordinates +0.0 or -0.0."""
+    kind = draw(st.sampled_from(["box", "disk", "ball"]))
+    if kind == "box":
+        domain = Box(tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=7))))
+        lo, hi = np.zeros(domain.dim), np.asarray(domain.sides)
+    else:
+        domain = (Disk if kind == "disk" else Ball)(draw(st.floats(0.1, 2.0)))
+        lo, hi = np.full(domain.dim, -domain.radius), np.full(domain.dim, domain.radius)
+    d, n = domain.dim, draw(st.sampled_from([1, 2, 17, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = hi - lo
+    free = rng.uniform(lo - 0.2 * span, hi + 0.2 * span, (n, d))
+    corner = np.where(rng.random((n, d)) < 0.5, lo, hi)
+    if kind == "box":
+        face = np.where(np.arange(d) == rng.integers(0, d, (n, 1)), corner, free)
+    else:
+        face = free * (domain.radius / np.linalg.norm(free, axis=1))[:, None]
+    ridge = lo + rng.random((n, 1)) * span.min() / 2.0  # equidistant from d faces
+    zeros = free * rng.choice([-0.0, 0.0, 1.0], (n, d))
+    kinds = np.stack([free, face, ridge, corner, zeros])
+    return domain, kinds[rng.integers(0, len(kinds), n), np.arange(n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_column_cases(), l0=st.floats(0.02, 1.0), at=st.integers(0, 999))
+def test_column_reductions_match_axis_code(case, l0, at):
+    """Every rewritten domain query, ScaleFunction.scale_and_grad, the
+    localization frame and the normalization integrand give the bytes of
+    the axis=1 code on the same batch."""
+    domain, batch = case
+    x = batch[at % len(batch)]
+    sf = ScaleFunction(domain, l0)
+    got = [domain.contains(batch), domain.distance_to_complement(batch),
+           domain.distance_to_boundary(batch), *domain.grad_distance(batch),
+           *sf.scale_and_grad(batch), *localization._frame(sf, batch, x[None, :]),
+           localization._normalization_integrand(sf, x)(batch)]
+    with _axis_code(domain, l0) as old:
+        axis = old.domain
+        want = [axis.contains(batch), axis.distance_to_complement(batch),
+                axis.distance_to_boundary(batch), *axis.grad_distance(batch),
+                *old.scale_and_grad(batch), *localization._frame(old, batch, x[None, :]),
+                localization._normalization_integrand(old, x)(batch)]
+    for i, (g, w) in enumerate(zip(got, want, strict=True)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), i
+
+
+def _outcome(sf, x, tol):
+    """The bits of normalization_check's value, or the type and message of its error."""
+    try:
+        return normalization_check(sf, x, tol).hex()
+    except WeylkitError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("domain, lo, hi, examples", [
+    pytest.param(Disk(1.0), -1.2, 1.2, 100, id="disk"),
+    pytest.param(square(1.0), -0.2, 1.2, 100, id="square"),
+    pytest.param(Box((1.0, 0.8, 1.2)), -0.2, 1.3, 3, id="box-3d"),
+    pytest.param(Ball(1.0), -1.2, 1.2, 3, id="ball"),
+])
+def test_normalization_matches_axis_code(domain, lo, hi, examples):
+    # a 3-D case costs about 100 2-D ones
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(l0=st.floats(0.02, 1.0),
+           x=st.lists(st.floats(lo, hi), min_size=domain.dim, max_size=domain.dim),
+           tol=st.sampled_from([1e-2, 1e-3, 1e-4]))
+    def check(l0, x, tol):
+        x = np.array(x)
+        got = _outcome(ScaleFunction(domain, l0), x, tol)
+        with _axis_code(domain, l0) as old:
+            assert got == _outcome(old, x, tol)
+
+    check()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_chart_queries_match_axis_code(dim):
+    """The chart norms and sums of the boundary straightening, column by
+    column, give the bytes of the axis=1 code."""
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-0.1, 0.1, (1000, dim)) * np.where(rng.random((1000, dim)) < 0.2, -0.0, 1.0)
+
+    def run():
+        ch = localization.holder_chart(0.7, 0.5, 0.2, dim)
+        return [localization.straighten(ch, pts), ch.grad_f(pts[:, 1:]),
+                localization.bump_weight(0.2)(pts[:, 1:]),
+                np.array([localization.surface_defect(ch, localization.bump_weight(0.2))])]
+
+    got = run()
+    with _axis_code(Disk(1.0), 0.1):
+        want = run()
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
