@@ -25,14 +25,18 @@ satisfies the normalization
 which `normalization_check` verifies by adaptive quadrature over u. It
 evaluates the integrand only where it can be nonzero: a fixed-point bound
 r* < 2 l(x) on |x - u| over its support skips the cells beyond it, which
-keep exact-zero rows, and grad l and W are computed only at the nodes
-with |x - u| < l(u); one integrand call per refinement depth serves both
-Gauss rules. Every sum is that of the full evaluation, to the bit.
+keep exact-zero rows. One integrand call per refinement depth serves both
+Gauss rules, and each takes l, grad l and W at its nodes from one `_frame`:
+one distance and one gradient query. Every sum is that of the full
+evaluation, to the bit. Scales that leave the float range are refused: an
+l0 with (l0/4)^2 or (l0/4)^d subnormal, a bounding box beyond 2^300, and
+an x whose finest quadrature cells could span fewer than MIN_CELL_ULPS ulps.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,6 +54,13 @@ SEED_CELL_FACTOR = 1.0 / 6.0  # normalization_check seed cell size, as a multipl
 # largest 3-D seed (about 210 MB), below 16^4 x 5^4, the smallest 4-D one
 SEED_POINT_BUDGET = 2**22
 SCALE_STEP_FACTOR = 1.0 / 32.0  # scale_integrals midpoint step, as a multiple of l0
+# normalization_check refuses an x whose finest cells could be narrower than
+# this many ulps of its coordinates: below 2^5 the unit disk and ball gave
+# false invariant violations at |x| = 1; from 2^8 on, deviations stayed below
+# 1.4e-6 there and on a 1e6 disk and a 1e4 square
+MIN_CELL_ULPS = 2**8
+# bounding_box refuses corners beyond it; grad l overflows from s ~ 4.5e102
+COORD_BOUND = 2.0**300
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +77,11 @@ class ScaleFunction:
     def __post_init__(self):
         if not 0.0 < self.l0 <= 1.0:
             raise ConfigError(f"l0 must lie in (0, 1], got {self.l0}")
+        d, p = self.domain.dim, max(self.domain.dim, 2)
+        if (self.l0 / 4.0) ** p < sys.float_info.min:  # l >= l0/4 everywhere
+            raise ConfigError(
+                f"l0 = {self.l0} is too small: (l0/4)^{p} is subnormal, and l >= l0/4 "
+                f"must keep l^2 and l^-{d} finite and positive")
 
     def scale(self, u):
         s = np.hypot(self.domain.distance_to_complement(u), self.l0)
@@ -209,21 +225,17 @@ def _support_reach(sf: ScaleFunction, x: np.ndarray) -> float:
 
 
 def _normalization_integrand(sf: ScaleFunction, x: np.ndarray):
-    """u -> phi_u(x)^2 l(u)^{-d} for a batch u: l from the distance alone at
-    every u, grad l and W only where z^2 < 1, and an exact 0 elsewhere."""
+    """u -> phi_u(x)^2 l(u)^{-d} for a batch u, from one `_frame` of the
+    batch: one distance and one gradient query, and an exact 0 where
+    z^2 >= 1."""
     d = len(x)
     c = _bump_constant(d) ** 2
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        diff = x - u
-        l = sf.scale(u)
-        z2 = row_sum(diff * diff) / (l * l)
-        out = np.zeros(len(u))
+        l, _, _, z2, w = _frame(sf, u, x[None, :])
+        out = _bump(z2, c, 2.0)
         inside = z2 < 1.0
-        if inside.any():
-            li, grad, _ = sf.scale_and_grad(u[inside])
-            w = 1.0 + row_sum(diff[inside] * grad) / li
-            out[inside] = c * np.exp(-2.0 / (1.0 - z2[inside])) * w * li**-d
+        out[inside] = out[inside] * w[inside] * l[inside] ** -d
         return out
 
     return integrand
@@ -261,9 +273,12 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
     radius r* = _support_reach(sf, x) < 2 l(x), outside which the
     integrand is exactly 0; the other cells keep all-zero rows, so the
     refinement threshold and every sum are those of evaluating all of
-    them. Raises ConfigError for a tol that is not finite and positive
-    or an x that is not one finite point of the domain's dimension,
-    NumericsError if the quadrature cannot reach `tol`, and
+    them. Raises ConfigError for a tol that is not finite and positive,
+    an x that is not one finite point of the domain's dimension, or an x
+    whose finest cells (half-width l(x)/192 >= l0/768) could span fewer than
+    MIN_CELL_ULPS ulps of |x|_inf + 1, decided before any distance query:
+    there the nodes round to a few coordinates and the sum can miss 1 by
+    more than tol. Raises NumericsError if the quadrature cannot reach `tol`, and
     InvariantViolation if the converged value is not within `tol` of 1.
     Raises ResourceError, before it seeds anything, if the seed holds
     more than SEED_POINT_BUDGET points: every d >= 4 does.
@@ -278,6 +293,14 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
             f"x must be one point of dimension {sf.domain.dim}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ConfigError(f"x must be finite, got {x.tolist()}")
+    # finest half-width l(x) SEED_CELL_FACTOR / 2^(MAX_DEPTH + 1) with l(x) >= l0/4;
+    # the nodes lie within 2 l(x) <= 1 of x
+    finest = sf.l0 / 4.0 * SEED_CELL_FACTOR / 2 ** (MAX_DEPTH + 1)
+    if finest < MIN_CELL_ULPS * math.ulp(float(np.max(np.abs(x))) + 1.0):
+        raise ConfigError(
+            f"x = {x.tolist()} is too far out for l0 = {sf.l0}: its finest quadrature cells "
+            f"could be as narrow as half-width {finest:.3g}, fewer than {MIN_CELL_ULPS} ulps "
+            "of its coordinates")
     d = len(x)
     lx = float(sf.scale(x[None, :])[0])
     radius = min(0.5, 2.0 * lx)
@@ -332,13 +355,19 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
 
 
 def bounding_box(domain, margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Corners (lo, hi) of the box or disk's bounding box, grown by `margin`."""
+    """Corners (lo, hi) of the box or disk's bounding box, grown by `margin`;
+    a ConfigError if a corner lies beyond COORD_BOUND."""
     if isinstance(domain, Box):
-        return np.zeros(domain.dim) - margin, np.asarray(domain.sides) + margin
-    if isinstance(domain, Disk):
-        return (np.full(domain.dim, -domain.radius - margin),
-                np.full(domain.dim, domain.radius + margin))
-    raise ConfigError("localize supports square/box/disk domains only")
+        lo, hi = np.zeros(domain.dim) - margin, np.asarray(domain.sides) + margin
+    elif isinstance(domain, Disk):
+        hi = np.full(domain.dim, domain.radius + margin)
+        lo = -hi
+    else:
+        raise ConfigError("localize supports square/box/disk domains only")
+    if hi.max() > COORD_BOUND:  # and -lo <= hi
+        raise ConfigError(f"localize needs a bounding box within 2^300 of the origin, "
+                          f"got a corner at {float(hi.max())!r}")
+    return lo, hi
 
 
 def scale_integrals(sf: ScaleFunction, a: float) -> tuple[float, float]:

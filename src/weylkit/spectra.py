@@ -139,12 +139,10 @@ def _bessel_spectrum(ball, cutoff: float) -> Spectrum:
     x_max = math.sqrt(cutoff) * ball.radius
     orders = list(itertools.takewhile(lambda nu: nu <= x_max,
                                       (ell + d / 2 - 1 for ell in itertools.count())))
-    chunks = []
-    for ell, zs in enumerate(zeros_below_orders(orders, x_max)):
-        if zs.size == 0:
-            break
-        chunks.append(np.repeat((zs / ball.radius) ** 2, _multiplicity(ell, d)))
-    ev = np.sort(np.concatenate(chunks)) if chunks else np.empty(0)
+    zeros = list(itertools.takewhile(np.size, zeros_below_orders(orders, x_max)))
+    mult = np.array([_multiplicity(ell, d) for ell in range(len(zeros))], dtype=np.intp)
+    ev = np.sort(np.repeat((np.concatenate([np.empty(0), *zeros]) / ball.radius) ** 2,
+                           np.repeat(mult, [zs.size for zs in zeros])))
     ev = ev[ev < cutoff]
     if ev.size > DEFAULT_BUDGET:
         raise ResourceError(f"{what} has {ev.size} eigenvalues, over budget {DEFAULT_BUDGET}")

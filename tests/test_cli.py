@@ -240,6 +240,77 @@ def test_localize_grid_budget_edge(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ResourceError"
 
 
+_TINY_L0 = "l0 = {} is too small: (l0/4)^{} is subnormal, and l >= l0/4 must keep l^2 and l^-{} " \
+           "finite and positive"
+_FAR = "localize needs a bounding box within 2^300 of the origin, got a corner at {!r}"
+
+
+@pytest.mark.parametrize("domain, l0, message", [
+    # grad l's 2 s (s + 1)^2 overflowed from s ~ 4.5e102 with a RuntimeWarning
+    pytest.param("disk:1e140", "0.1", _FAR.format(1e140), id="disk-1e140"),
+    pytest.param(f"disk:{math.nextafter(2.0**300, math.inf)!r}", "0.1",
+                 _FAR.format(math.nextafter(2.0**300, math.inf)), id="disk-past-2^300"),
+    pytest.param("box:1,3e90", "0.1", _FAR.format(3e90), id="box-3e90"),
+    # l^2 underflowed to 0: a divide warning and a false invariant violation
+    pytest.param("square:1e-200", "1e-300", _TINY_L0.format(1e-300, 2, 2), id="l0-1e-300"),
+    pytest.param("square:1", repr(math.nextafter(2.0**-509, 0)),
+                 _TINY_L0.format(math.nextafter(2.0**-509, 0), 2, 2), id="l0-below-2^-509"),
+    pytest.param("box:1", repr(math.nextafter(2.0**-509, 0)),
+                 _TINY_L0.format(math.nextafter(2.0**-509, 0), 2, 1), id="l0-below-2^-509-1d"),
+    pytest.param("box:1,1,1", repr(4 * 2.0**-341), _TINY_L0.format(4 * 2.0**-341, 3, 3),
+                 id="l0-4*2^-341-3d"),
+])
+def test_localize_scale_errors(tmp_path, capsys, monkeypatch, domain, l0, message):
+    """Scales that leave the float range exit 2 with one JSON error line and
+    no output file, before any point is made."""
+    def unused(*args):
+        raise AssertionError("point made past the scale bounds")
+
+    monkeypatch.setattr(cli.domains, "lattice", unused)
+    monkeypatch.setattr(localization, "lattice", unused)
+    out = tmp_path / "d.csv"
+    assert main(["localize", "--domain", domain, "--l0", l0, "--check-normalization", "3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().out == json.dumps(
+        {"error": {"type": "ConfigError", "message": message, "exit_code": 2}}) + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("domain, l0", [
+    pytest.param(f"disk:{2.0**300!r}", "0.1", id="disk-2^300"),
+    pytest.param("square:1", repr(2.0**-509), id="l0-2^-509"),
+    pytest.param("box:1", repr(2.0**-509), id="l0-2^-509-1d"),
+    pytest.param("box:1,1,1", repr(4 * 2.0**-340), id="l0-4*2^-340-3d"),
+])
+def test_localize_scale_bounds_edge(tmp_path, domain, l0):
+    """At the bounds the diagnostics run, with no warning (tier-1 turns
+    warnings into errors)."""
+    out = tmp_path / "d.csv"
+    assert main(["localize", "--domain", domain, "--l0", l0, "--grid", "3", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("domain, l0", [
+    # gave totals of 1.0019 and 0.9625: exit 3 for an invariant that holds
+    pytest.param("disk:1e12", "0.1", id="disk-1e12"),
+    pytest.param("disk:1e13", "0.1", id="disk-1e13"),
+    pytest.param("disk:1", "1e-12", id="l0-1e-12"),
+])
+def test_localize_refuses_cells_below_rounding(tmp_path, capsys, monkeypatch, domain, l0):
+    """A normalization point whose finest cells would span fewer than
+    MIN_CELL_ULPS ulps of its coordinates exits 2 before its seed is made."""
+    def unused(*args):
+        raise AssertionError("seeded below the rounding bound")
+
+    monkeypatch.setattr(localization, "lattice", unused)
+    assert main(["localize", "--domain", domain, "--l0", l0, "--grid", "2",
+                 "--check-normalization", "3", "--out", str(tmp_path / "d.csv")]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith("x = [")
+    assert f"is too far out for l0 = {l0}: " in err["message"]
+
+
 def test_count_budget_edge(tmp_path, monkeypatch, capsys):
     """A profile's --count and an h grid's COUNT are points a command
     evaluates: at the budget they run, past it they exit 4 before any array

@@ -147,7 +147,7 @@ class _CountingDomain:
     """Delegates to a domain and counts its distance queries."""
 
     def __init__(self, inner):
-        self.inner = inner
+        self.inner, self.dim = inner, inner.dim
         self.queries = 0
 
     def distance_to_complement(self, u):
@@ -187,6 +187,37 @@ def test_partition_functions_query_distance_once():
         dom.queries = 0
         call()
         assert dom.queries == 1
+
+
+@pytest.mark.parametrize("cls, domain, x", [
+    (Disk, Disk(1.0), (0.9, 0.2)),
+    (Box, square(1.0), (0.2, 0.55)),
+    (HalfSpace, HalfSpace(2), (0.3, 0.05)),
+], ids=["disk", "box", "half"])
+def test_normalization_integrand_queries_each_node_once(monkeypatch, cls, domain, x):
+    """One integrand call makes one distance and one gradient query, both on
+    all of its rows, nodes inside and outside the support alike, and takes l
+    from them, not from ScaleFunction.scale."""
+    x = np.array(x)
+    sf = ScaleFunction(domain, 0.1)
+    lx = float(sf.scale(x[None, :])[0])
+    u = x + np.random.default_rng(5).uniform(-2.0 * lx, 2.0 * lx, (400, 2))
+    calls = []
+    for name in ("distance_to_complement", "grad_distance"):
+        def spy(self, v, query=getattr(cls, name), name=name):
+            calls.append((name, v.copy()))
+            return query(self, v)
+
+        monkeypatch.setattr(cls, name, spy)
+
+    def unused(*args):
+        raise AssertionError("ScaleFunction.scale called")
+
+    monkeypatch.setattr(ScaleFunction, "scale", unused)
+    vals = _normalization_integrand(sf, x)(u)
+    assert [name for name, _ in calls] == ["distance_to_complement", "grad_distance"]
+    assert all(v.tobytes() == u.tobytes() for _, v in calls)
+    assert 0 < np.count_nonzero(vals) < len(u)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +318,24 @@ def test_partition_grad_matches_finite_differences():
 
 # ---------------------------------------------------------------------------
 # normalization
+
+
+def test_normalization_rounding_bound_edge(monkeypatch):
+    # at x = (1, 0) the finest cells reach MIN_CELL_ULPS ulps of |x| + 1 = 2
+    # at l0 = 768 * 2^8 * 2^-51 = 8.73e-11: just above it the check holds,
+    # just below it is refused before any distance query
+    x = np.array([1.0, 0.0])
+    assert abs(normalization_check(ScaleFunction(Disk(1.0), 8.8e-11), x) - 1.0) < 1e-6
+
+    def unused(*args):
+        raise AssertionError("distance queried below the rounding bound")
+
+    monkeypatch.setattr(Disk, "distance_to_complement", unused)
+    with pytest.raises(ConfigError) as exc:
+        normalization_check(ScaleFunction(Disk(1.0), 8.6e-11), x)
+    assert str(exc.value) == (
+        "x = [1.0, 0.0] is too far out for l0 = 8.6e-11: its finest quadrature cells could be "
+        "as narrow as half-width 1.12e-13, fewer than 256 ulps of its coordinates")
 
 
 def test_normalization_constant_scale_regime():

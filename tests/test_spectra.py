@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 import weylkit.spectra
+from weylkit.bessel import zeros_below_orders
 from weylkit.constants import constants
 from weylkit.errors import ConfigError, ResourceError
 from weylkit.spectra import (
@@ -79,6 +80,34 @@ def test_box_matches_row_loop(sides, cutoff):
     are one (1-D), few and long (needle) or many and short (slab)."""
     got = box_spectrum(sides, cutoff).eigenvalues
     assert got.tobytes() == _ref_box_eigenvalues(sides, cutoff).tobytes()
+
+
+def _ref_bessel_eigenvalues(ball, cutoff):
+    """One repeated chunk per order, up to the first order without a zero."""
+    x_max = math.sqrt(cutoff) * ball.radius
+    orders = [ell + ball.dim / 2 - 1 for ell in range(int(x_max) + 2)]
+    orders = [nu for nu in orders if nu <= x_max]
+    chunks = []
+    for ell, zs in enumerate(zeros_below_orders(orders, x_max)):
+        if zs.size == 0:
+            break
+        chunks.append(np.repeat((zs / ball.radius) ** 2, _multiplicity(ell, ball.dim)))
+    ev = np.sort(np.concatenate(chunks)) if chunks else np.empty(0)
+    return ev[ev < cutoff]
+
+
+@pytest.mark.parametrize("ball, cutoff", [
+    (Disk(1.0), 4900.0),
+    (Disk(0.7), 2500.0),
+    (Ball(1.0), 900.0),
+    (Ball(1.7), 1600.0),
+    (Disk(1.0), 0.5),  # empty: j_{0,1}^2 > 5.78
+    (Ball(1.0), 0.5),  # empty: j_{1/2,1}^2 = pi^2
+])
+def test_bessel_spectrum_matches_order_loop(ball, cutoff):
+    """Bitwise the per-order repeat, also for an empty spectrum."""
+    got = (disk_spectrum if isinstance(ball, Disk) else ball_spectrum)(ball.radius, cutoff)
+    assert got.eigenvalues.tobytes() == _ref_bessel_eigenvalues(ball, cutoff).tobytes()
 
 
 @pytest.mark.parametrize("values, what", [
