@@ -41,17 +41,18 @@ order to the largest x_max scanned so far and its zeros below it. An
 order's scan grid, `arange(max(nu, 1e-3), x_max + 2 SCAN_STEP, SCAN_STEP)`,
 has the same points for every x_max, and each bracket is refined on its
 own, so the zeros below x <= X are bitwise a prefix of the zeros below
-X: a request the table covers is served as `stored[stored < x]`, a new
-array, and only the other orders of a pass are scanned. The interlacing
-check runs on every request, stored zeros included, and a pass's new
-zeros enter the table only after they pass it against each neighbouring
-order of the request: the last order of a pass waits for the next
-pass's check, unless its pass is the request's last. New zeros that
-would take the table over ZERO_TABLE_BUDGET zeros are returned and not
-stored. A request past an order's stored x_max extends the entry: the
-order's grid starts at its last point below that x_max, and the zeros
-of those brackets from x_max on are appended to the stored ones, which
-by the same prefix property are bitwise a scan of the whole grid.
+X. A request reads each order's entry once: an order the table covers is
+served as `stored[stored < x]`, a new array, and only the other orders of
+a pass are scanned. The interlacing check runs on every request, stored
+zeros included, and a pass's new zeros enter the table only after they
+pass it against each neighbouring order of the request: the last order
+of a pass waits for the next pass's check, unless its pass is the
+request's last. New zeros that would take the table over
+ZERO_TABLE_BUDGET zeros are returned and not stored. A request past an
+order's stored x_max extends the entry: the order's grid starts at its
+last point below that x_max, and the zeros of those brackets from x_max
+on are appended to the stored ones, which by the same prefix property
+are bitwise a scan of the whole grid.
 """
 
 from __future__ import annotations
@@ -475,20 +476,21 @@ def zeros_below_orders(orders, x_max: float) -> Iterator[np.ndarray]:
     ones that the check has not passed.
     """
     orders = [_check_order(nu) for nu in orders]
+    entries = {nu: _ZERO_TABLE.get(nu) for nu in orders}  # the one table read per order
     runs, at = {}, 0.0
     for nu in orders:
         runs.setdefault(int(at // PASS_POINTS), []).append(nu)
-        x0 = _ZERO_TABLE.get(nu, (-math.inf,))[0]
+        x0 = (entries[nu] or (-math.inf,))[0]
         if not x_max <= x0:  # not stored that far
             at += max(x_max - max(nu, x0) + 2.0, 0.0)  # about the size of nu's new grid
     runs = list(runs.values())
     prev_nu, prev_z, held = [], [], {}
     for r, run in enumerate(runs):
-        zeros = [_stored(nu, x_max) for nu in run]
+        # a new array of the stored zeros below x_max, or None if not stored that far
+        zeros = [e[1][e[1] < x_max] if e and x_max <= e[0] else None for e in map(entries.get, run)]
         miss = [i for i, z in enumerate(zeros) if z is None]
         if miss:
-            new = _zeros_pass([run[i] for i in miss], x_max,
-                              [_ZERO_TABLE.get(run[i]) for i in miss])
+            new = _zeros_pass([run[i] for i in miss], x_max, [entries[run[i]] for i in miss])
             for i, z in zip(miss, new):
                 zeros[i] = z
         _check_interlacing(prev_nu + run, prev_z + zeros, x_max)
@@ -499,15 +501,6 @@ def zeros_below_orders(orders, x_max: float) -> Iterator[np.ndarray]:
             _store(found, x_max)
         prev_nu, prev_z = run[-1:], zeros[-1:]
         yield from zeros
-
-
-def _stored(nu: float, x_max: float) -> np.ndarray | None:
-    """A new array of the stored zeros of J_nu below x_max, or None if the
-    table has not scanned nu that far."""
-    entry = _ZERO_TABLE.get(nu)
-    if entry is None or not x_max <= entry[0]:
-        return None
-    return entry[1][entry[1] < x_max]
 
 
 def _store(found: dict[float, np.ndarray], x_max: float) -> None:

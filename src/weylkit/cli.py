@@ -9,7 +9,6 @@ configuration are byte-identical. Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from functools import cache
@@ -23,7 +22,7 @@ from .errors import ConfigError, ResourceError, WeylkitError
 from .fdlap import assemble, fd_spectrum
 from .functionals import fit_second_term, fit_to_json, sweep, sweep_to_csv
 from .localization import ScaleFunction, bounding_box, dump_diagnostics, normalization_check
-from .output import json_text, write
+from .output import json_line, json_text, write
 from .spectra import save_spectrum, sidecar, spectrum_for
 
 MC_SEED = 0  # fixed seed for every Monte-Carlo ingredient
@@ -128,14 +127,15 @@ def cmd_localize(args) -> int:
     if g**d > _GRID_BUDGET:
         raise ResourceError(f"localize grid of {g}^{d} points is over the budget {_GRID_BUDGET}")
     pts = domains.lattice([np.linspace(lo[i], hi[i], g) for i in range(d)])
+    # every normalization point is checked before the CSV is written, so a
+    # refused point leaves no file
+    rng = np.random.default_rng(MC_SEED)
+    worst = 0.0
+    for _ in range(args.check_normalization):
+        worst = max(worst, abs(normalization_check(sf, rng.uniform(lo, hi), tol=args.tol) - 1.0))
     dump_diagnostics(sf, pts, args.out)
     if args.check_normalization:
-        rng = np.random.default_rng(MC_SEED)
-        worst = 0.0
-        for _ in range(args.check_normalization):
-            x = rng.uniform(lo, hi)
-            worst = max(worst, abs(normalization_check(sf, x, tol=args.tol) - 1.0))
-        sys.stdout.write(json.dumps({"normalization_worst_deviation": worst}) + "\n")
+        write(json_line({"normalization_worst_deviation": worst}), None)
     return 0
 
 
@@ -240,10 +240,8 @@ def main(argv=None) -> int:
             raise ConfigError(str(exc)) from exc
     except WeylkitError as exc:
         code = exc.exit_code
-        sys.stdout.write(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}})
-            + "\n"
-        )
+        write(json_line({"error": {"type": type(exc).__name__, "message": str(exc),
+                                   "exit_code": code}}), None)
         return code
 
 

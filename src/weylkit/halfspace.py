@@ -21,8 +21,8 @@ uses no Bessel function, and fails loudly if they disagree.
 
 Integrating the correction over t from 0 to infinity produces the
 boundary coefficient (1/4) L_{d-1}; `boundary_coefficient` verifies this
-by summing segment integrals between consecutive Bessel zeros with
-convergence acceleration.
+by summing segment integrals between consecutive Bessel zeros, all from
+one `_segments` pass, with convergence acceleration.
 """
 
 from __future__ import annotations
@@ -250,30 +250,24 @@ def density_profile(d: int, t):
     return float(rho) if ts.ndim == 0 else rho
 
 
-def _segment_bounds(d: int, t_max: float) -> np.ndarray:
-    """[0, z_1, z_2, ...]: zeros of the correction's Bessel factor <= t_max."""
-    if t_max <= 0:
+def _segments(d: int, t_max: float, *, weight_t: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(zeros z_k <= t_max of the correction's Bessel factor, GL integral of
+    (2 pi)^-d K(d, t), optionally times t, over each [z_{k-1}, z_k], z_0 = 0)."""
+    d = _check_dim(d)
+    if not t_max > 0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
     if not 2.0 * t_max <= HORIZON_BUDGET:
         raise ResourceError(
             f"horizon t_max={t_max!r} scans Bessel zeros up to 2 t_max = {2.0 * t_max!r}, "
             f"over the budget {HORIZON_BUDGET}")
-    nu = d / 2.0 + 1.0
-    zs = zeros_below(nu, 2.0 * t_max) / 2.0
-    return np.concatenate([[0.0], zs])
-
-
-def _segment_integrals(d: int, bounds: np.ndarray, *, weight_t: bool) -> np.ndarray:
-    """GL integral of (2 pi)^-d K(d, t) (optionally times t) per segment."""
-    a = bounds[:-1]
-    b = bounds[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    ts = mid + half * _GL_NODES[None, :]
+    zs = zeros_below(d / 2.0 + 1.0, 2.0 * t_max) / 2.0
+    a = np.concatenate([[0.0], zs])[:-1]
+    half = 0.5 * (zs - a)[:, None]
+    ts = 0.5 * (a + zs)[:, None] + half * _GL_NODES[None, :]
     vals = _cosine_bessel(d, ts.ravel()).reshape(ts.shape) / TWO_PI**d
     if weight_t:
         vals = vals * ts
-    return (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half[:, 0]
+    return zs, (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half[:, 0]
 
 
 def boundary_partial_sums(d: int, t_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -282,10 +276,8 @@ def boundary_partial_sums(d: int, t_max: float) -> tuple[np.ndarray, np.ndarray]
     Consecutive partial sums bracket the limiting value (1/4) L_{d-1} with
     alternating sign.
     """
-    d = _check_dim(d)
-    bounds = _segment_bounds(d, t_max)
-    segs = _segment_integrals(d, bounds, weight_t=False)
-    return bounds[1:], np.cumsum(segs)
+    zs, segs = _segments(d, t_max, weight_t=False)
+    return zs, np.cumsum(segs)
 
 
 def boundary_coefficient(d: int, t_max: float, *, tol: float = 1e-4) -> float:
@@ -295,8 +287,10 @@ def boundary_coefficient(d: int, t_max: float, *, tol: float = 1e-4) -> float:
     factor, then accelerates the alternating sequence of partial sums by
     repeated averaging. Converges to (1/4) L_{d-1}. Raises
     ConvergenceError when the acceleration's error estimate exceeds `tol`
-    (horizon too small).
+    (horizon too small), and ConfigError for a `tol` that is NaN or negative.
     """
+    if not tol >= 0:
+        raise ConfigError(f"tol must be nonnegative, got {tol}")
     _, partial = boundary_partial_sums(d, t_max)
     if partial.size < 6:
         raise ConvergenceError(
@@ -319,10 +313,7 @@ def boundary_coefficient(d: int, t_max: float, *, tol: float = 1e-4) -> float:
 
 def absolute_moment(d: int, t_max: float) -> float:
     """int_0^t_max t |(2 pi)^-d K(d, t)| dt by between-zeros quadrature."""
-    d = _check_dim(d)
-    bounds = _segment_bounds(d, t_max)
-    segs = _segment_integrals(d, bounds, weight_t=True)
-    return float(np.sum(np.abs(segs)))
+    return float(np.sum(np.abs(_segments(d, t_max, weight_t=True)[1])))
 
 
 def tail_bound_check(d: int, t_max: float = 400.0) -> float:
@@ -334,11 +325,8 @@ def tail_bound_check(d: int, t_max: float = 400.0) -> float:
     and checks that the truncated values are Cauchy; a non-decreasing
     sequence of increments raises InvariantViolation.
     """
-    d = _check_dim(d)
-    bounds = _segment_bounds(d, t_max)
-    segs = np.abs(_segment_integrals(d, bounds, weight_t=True))
-    cum = np.cumsum(segs)
-    ends = bounds[1:]
+    ends, segs = _segments(d, t_max, weight_t=True)
+    cum = np.cumsum(np.abs(segs))
     horizons = []
     for target in (t_max / 4.0, t_max / 2.0, t_max):
         k = int(np.searchsorted(ends, target, side="right")) - 1

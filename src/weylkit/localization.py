@@ -27,7 +27,8 @@ evaluates the integrand only where it can be nonzero: a fixed-point bound
 r* < 2 l(x) on |x - u| over its support skips the cells beyond it, which
 keep exact-zero rows. One integrand call per refinement depth serves both
 Gauss rules, and each takes l, grad l and W at its nodes from one `_frame`:
-one distance and one gradient query. Every sum is that of the full
+one distance and one gradient query. All cells of a depth share one
+half-width, halved at each refinement. Every sum is that of the full
 evaluation, to the bit. Scales that leave the float range are refused: an
 l0 with (l0/4)^2 or (l0/4)^d subnormal, a bounding box beyond 2^300, and
 an x whose finest quadrature cells could span fewer than MIN_CELL_ULPS ulps.
@@ -92,8 +93,10 @@ class ScaleFunction:
 
         grad l is analytic via the chain rule where the distance is
         differentiable; on its non-differentiability set (e.g. the ridge of
-        a box) a symmetric finite difference of l with step
-        FD_STEP_FACTOR * l0 is used and the point is flagged for diagnostics.
+        a box) a symmetric finite difference of l with step FD_STEP_FACTOR * l0
+        is used and the point is flagged for diagnostics. The step is floored
+        at 2^12 ulps of |u|_inf + 1, which binds only below l0 ~ 1e-6 |u|:
+        a step of a few ulps rounds to a one-sided difference.
         """
         dist = self.domain.distance_to_complement(u)
         gd, smooth = self.domain.grad_distance(u)
@@ -102,8 +105,9 @@ class ScaleFunction:
         grad = (dist / (2.0 * s * (s + 1.0) ** 2))[:, None] * gd
         flagged = ~smooth
         if flagged.any():
-            step = FD_STEP_FACTOR * self.l0
             uf = u[flagged]
+            step = np.maximum(FD_STEP_FACTOR * self.l0,
+                              2.0**12 * np.spacing(np.abs(uf).max(axis=1) + 1.0))
             fd = np.empty_like(uf)
             for axis in range(u.shape[1]):
                 up = uf.copy()
@@ -241,20 +245,22 @@ def _normalization_integrand(sf: ScaleFunction, x: np.ndarray):
     return integrand
 
 
-def _eval_cells(integrand, centers, halfs, near, rules):
-    """Each rule's integral over each cell, from one integrand call on the
-    nodes of every rule in the `near` cells; the other cells' node values
-    stay exact zeros, so every product keeps its shape."""
+def _eval_cells(integrand, centers, half, near, rules):
+    """Each rule's integral over each cell of half-width `half` (weight
+    half^d by numpy's power, bitwise an array's), from one integrand call on
+    the nodes of every rule in the `near` cells; the other cells' node
+    values stay exact zeros, so every product keeps its shape."""
     d = centers.shape[1]
     pts = np.concatenate([p for p, _ in rules])
-    nodes = centers[near][:, None, :] + halfs[near][:, None, None] * pts[None, :, :]
+    nodes = centers[near][:, None, :] + half * pts[None, :, :]
     vals = integrand(nodes.reshape(-1, d)).reshape(len(nodes), len(pts))
+    weight = np.power(half, d)
     out = []
     start = 0
     for _, w in rules:
         block = np.zeros((len(centers), len(w)))
         block[near] = vals[:, start:start + len(w)]
-        out.append(block @ w * halfs**d)
+        out.append(block @ w * weight)
         start += len(w)
     return out
 
@@ -314,16 +320,15 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
     rules = (_tensor_rule(d, 5), _tensor_rule(d, 3))
     reach = _support_reach(sf, x)
     centers = lattice([(np.arange(-n, n) + 0.5) * h0] * d) + x[None, :]
-    halfs = np.full(len(centers), h0 / 2.0)
-    keep = row_norm(centers - x[None, :]) <= radius + halfs * math.sqrt(d)
-    centers, halfs = centers[keep], halfs[keep]
+    half = h0 / 2.0  # every cell of a depth has this half-width
+    centers = centers[row_norm(centers - x[None, :]) <= radius + half * math.sqrt(d)]
 
     total = 0.0
     err = 0.0
     budget = tol / 3.0
     for depth in range(MAX_DEPTH + 1):
-        near = row_norm(centers - x[None, :]) - halfs * math.sqrt(d) < reach
-        i_hi, i_lo = _eval_cells(integrand, centers, halfs, near, rules)
+        near = row_norm(centers - x[None, :]) - half * math.sqrt(d) < reach
+        i_hi, i_lo = _eval_cells(integrand, centers, half, near, rules)
         diff = np.abs(i_hi - i_lo)
         thresh = budget / max(len(centers), 1) if depth < MAX_DEPTH else math.inf
         refine = diff > thresh
@@ -332,13 +337,9 @@ def normalization_check(sf: ScaleFunction, x, tol: float = 1e-3) -> float:
         if not refine.any():
             break
         # split flagged cells into 2^d children
-        c = centers[refine]
-        h = halfs[refine]
         sign = lattice([np.array([-1.0, 1.0])] * d)  # corners of [-1, 1]^d, scaled below
-        centers = (c[:, None, :] + 0.5 * h[:, None, None] * sign[None, :, :]).reshape(
-            -1, d
-        )
-        halfs = np.repeat(h / 2.0, 2**d)
+        centers = (centers[refine][:, None, :] + 0.5 * half * sign[None, :, :]).reshape(-1, d)
+        half /= 2.0
     if err > tol:
         raise NumericsError(
             f"normalization quadrature error estimate {err:.3g} exceeds tol {tol:g}")
@@ -427,7 +428,7 @@ class BoundaryChart:
     dim: int = 2
 
     def __post_init__(self):
-        if self.radius <= 0 or not 0 < self.alpha <= 1:
+        if not self.radius > 0 or not 0 < self.alpha <= 1:
             raise ConfigError("chart needs radius > 0 and alpha in (0, 1]")
 
 

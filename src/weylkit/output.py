@@ -1,9 +1,11 @@
 """The formats of every output file and report.
 
 CSV: one header row, CRLF line ends, `repr` for a float cell (it reads
-back bitwise) and `str` for an integer cell. JSON: indented by 2, with
-a final newline. A text is built whole before `write` opens its file,
-so a failed computation leaves no partial file.
+back bitwise) and `str` for an integer cell. JSON comes in two forms: an
+output file or report indented by 2 (`json_text`), and a one-line object
+on standard output for `localize`'s normalization report and every CLI
+error (`json_line`); both end in a newline. A text is built whole before
+`write` opens its file, so a failed computation leaves no partial file.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ def csv_text(header, columns) -> str:
 
 def json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def json_line(payload) -> str:
+    return json.dumps(payload) + "\n"
 
 
 def write(text: str, path) -> None:

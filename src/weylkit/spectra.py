@@ -12,8 +12,9 @@ that is 1, 2, 2, ... for the disk and 2l+1 for the ball. The zeros of
 all orders come from batched passes over runs of consecutive orders
 (`bessel.zeros_below_orders`). The Bessel evaluator stops each point on
 its own terms, so a value never depends on the rest of its batch and no
-zero depends on the other orders of its pass.
-Eigenvalues are stored as a flat sorted float array with multiplicity.
+zero depends on the other orders of its pass. Both builders check the
+cutoff and budget in `_check_budget` and end in `_finish`: the
+eigenvalues below the cutoff as a flat sorted float array with multiplicity.
 """
 
 from __future__ import annotations
@@ -63,7 +64,12 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def _check_budget(domain, cutoff: float, what: str) -> None:
+def _check_budget(domain, cutoff: float) -> str:
+    """The name of the domain's spectrum ("box spectrum"), once the cutoff
+    is positive and Weyl's estimate of the count is within the budget."""
+    if not cutoff > 0:
+        raise ConfigError(f"cutoff must be positive, got {cutoff}")
+    what = f"{type(domain).__name__.lower()} spectrum"
     d = domain.dim
     try:  # Weyl's estimate of the count with room to spare; it may overflow
         estimate = 1.2 * constants(d).C_d * domain.volume * cutoff ** (d / 2) + 100
@@ -73,6 +79,16 @@ def _check_budget(domain, cutoff: float, what: str) -> None:
         raise ResourceError(
             f"{what} would need ~{estimate:.3g} eigenvalues, over the budget {DEFAULT_BUDGET:g}"
         )
+    return what
+
+
+def _finish(ev: np.ndarray, cutoff: float, what: str, provenance: str) -> Spectrum:
+    """The Spectrum of the sorted values of `ev` below the cutoff, within the budget."""
+    ev = ev[ev < cutoff]
+    ev.sort()
+    if ev.size > DEFAULT_BUDGET:
+        raise ResourceError(f"{what} has {ev.size} eigenvalues, over budget {DEFAULT_BUDGET}")
+    return Spectrum(ev, float(cutoff), provenance)
 
 
 def box_spectrum(sides, cutoff: float) -> Spectrum:
@@ -88,9 +104,7 @@ def box_spectrum(sides, cutoff: float) -> Spectrum:
     is fl(s + fl(m/a)^2) whatever the order; the values are then sorted.
     """
     box = Box(tuple(sides))
-    if cutoff <= 0:
-        raise ConfigError(f"cutoff must be positive, got {cutoff}")
-    _check_budget(box, cutoff, "box spectrum")
+    what = _check_budget(box, cutoff)
     q = cutoff / math.pi**2  # search sum (m_i/a_i)^2 < q
     partial = np.array([0.0])
     for a in box.sides[:-1]:
@@ -111,13 +125,8 @@ def box_spectrum(sides, cutoff: float) -> Spectrum:
         np.add(partial[:n, None], square[lo:hi], out=block)
         at += block.size
     ev = vals[vals < q]
-    ev.sort()
     ev *= math.pi**2
-    ev = ev[ev < cutoff]  # guard against roundoff at the edge
-    if ev.size > DEFAULT_BUDGET:
-        raise ResourceError(
-            f"box spectrum has {ev.size} eigenvalues, over budget {DEFAULT_BUDGET}")
-    return Spectrum(ev, float(cutoff), "exact-box")
+    return _finish(ev, cutoff, what, "exact-box")
 
 
 def _multiplicity(ell: int, d: int) -> int:
@@ -131,22 +140,16 @@ def _bessel_spectrum(ball, cutoff: float) -> Spectrum:
     stops at the first order without one, and no later pass runs:
     j_{nu,1} > nu and j_{nu,1} increases with nu, so no later order can
     contribute."""
-    if cutoff <= 0:
-        raise ConfigError(f"cutoff must be positive, got {cutoff}")
+    what = _check_budget(ball, cutoff)
     d = ball.dim
-    what = f"{type(ball).__name__.lower()} spectrum"
-    _check_budget(ball, cutoff, what)
     x_max = math.sqrt(cutoff) * ball.radius
     orders = list(itertools.takewhile(lambda nu: nu <= x_max,
                                       (ell + d / 2 - 1 for ell in itertools.count())))
     zeros = list(itertools.takewhile(np.size, zeros_below_orders(orders, x_max)))
     mult = np.array([_multiplicity(ell, d) for ell in range(len(zeros))], dtype=np.intp)
-    ev = np.sort(np.repeat((np.concatenate([np.empty(0), *zeros]) / ball.radius) ** 2,
-                           np.repeat(mult, [zs.size for zs in zeros])))
-    ev = ev[ev < cutoff]
-    if ev.size > DEFAULT_BUDGET:
-        raise ResourceError(f"{what} has {ev.size} eigenvalues, over budget {DEFAULT_BUDGET}")
-    return Spectrum(ev, float(cutoff), "exact-bessel")
+    ev = np.repeat((np.concatenate([np.empty(0), *zeros]) / ball.radius) ** 2,
+                   np.repeat(mult, [zs.size for zs in zeros]))
+    return _finish(ev, cutoff, what, "exact-bessel")
 
 
 def disk_spectrum(radius: float, cutoff: float) -> Spectrum:

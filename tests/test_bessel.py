@@ -775,6 +775,33 @@ def test_stored_zeros_are_not_handed_out():
     assert zeros_below(2.0, 30.0).tobytes() == want[want < 30.0].tobytes()
 
 
+class _CountingTable(dict):
+    """A zero table that records the orders it is asked for."""
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("pass_points", [bessel.PASS_POINTS, 40])
+def test_each_order_reads_the_table_once(monkeypatch, pass_points):
+    """One request reads each order's entry once, whether the table serves
+    the order, extends it or has none, in one pass or in several, and
+    returns the cold bytes."""
+    list(zeros_below_orders([0.0, 1.0], 20.0))
+    list(zeros_below_orders([2.0], 60.0))
+    table = _CountingTable(bessel._ZERO_TABLE)
+    table.asked = []
+    monkeypatch.setattr(bessel, "_ZERO_TABLE", table)
+    monkeypatch.setattr(bessel, "PASS_POINTS", pass_points)
+    orders = [0.0, 1.0, 2.0, 3.0, 4.0]  # extended, extended, served, new, new
+    got = list(zeros_below_orders(orders, 40.0))
+    assert sorted(table.asked) == orders
+    assert [z.tobytes() for z in got] == [_ref_zeros_below(nu, 40.0).tobytes() for nu in orders]
+    assert {nu: x for nu, (x, _) in table.items()} == {nu: 60.0 if nu == 2.0 else 40.0
+                                                       for nu in orders}
+
+
 def test_table_budget(monkeypatch):
     """A pass whose zeros would take the table over ZERO_TABLE_BUDGET is
     returned and not stored; what was stored before stays."""

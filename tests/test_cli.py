@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit import bessel, cli, errors, fdlap, halfspace, localization
+from weylkit import bessel, cli, errors, fdlap, halfspace, localization, output
 from weylkit.cli import main, parse_domain, parse_h_grid
 from weylkit.domains import Box, Disk
 from weylkit.errors import ConfigError
@@ -192,6 +192,9 @@ def test_config_error_exit_code(tmp_path, capsys):
                  "profile check needs --out for its CSV", id="profile-without-out"),
     pytest.param(["localize", "--domain", "disk:1", "--l0", "0.1"], "ConfigError", 2,
                  "localize needs --out for the diagnostics CSV", id="localize-without-out"),
+    # was a ConvergenceError, exit 4, after the whole computation
+    pytest.param(["halfspace", "--tol", "-1"], "ConfigError", 2,
+                 "tol must be nonnegative, got -1.0", id="halfspace-tol-negative"),
     pytest.param(["halfspace", "--check", "boundary-coefficient", "--T", "20", "--tol", "1e-12"],
                  "ConvergenceError", 4,
                  "boundary coefficient only converged to 3.22e-07 > tol 1e-12 within t_max=20.0",
@@ -309,6 +312,33 @@ def test_localize_refuses_cells_below_rounding(tmp_path, capsys, monkeypatch, do
     assert err["type"] == "ConfigError"
     assert err["message"].startswith("x = [")
     assert f"is too far out for l0 = {l0}: " in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--domain", "disk:1e12", "--l0", "0.1"], id="cells-below-rounding"),
+    pytest.param(["--domain", "disk:1", "--l0", "0.1", "--tol", "0"], id="tol-0"),
+])
+def test_refused_normalization_point_leaves_no_csv(tmp_path, capsys, argv):
+    """Every normalization point is checked before the diagnostics CSV is
+    written: a refused one exits 2 and leaves no file (it was left behind)."""
+    out = tmp_path / "d.csv"
+    assert main(["localize", *argv, "--grid", "2", "--check-normalization", "3",
+                 "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_json_lines_come_from_output(tmp_path, capsys):
+    """localize's normalization report and every error object are one-line
+    `output.json_line` texts; cli formats no JSON itself."""
+    assert not hasattr(cli, "json")
+    argv = ["localize", "--domain", "disk:1", "--l0", "0.1", "--grid", "2",
+            "--check-normalization", "1", "--out", str(tmp_path / "d.csv")]
+    for args, key in ((argv, "normalization_worst_deviation"), (argv[:-2], "error")):
+        main(args)
+        text = capsys.readouterr().out
+        assert text == output.json_line(json.loads(text)) == json.dumps(json.loads(text)) + "\n"
+        assert list(json.loads(text)) == [key]
 
 
 def test_count_budget_edge(tmp_path, monkeypatch, capsys):

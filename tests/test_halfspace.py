@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from weylkit import halfspace
+from weylkit import bessel, halfspace
 from weylkit.bessel import bessel_j
 from weylkit.cli import main
 from weylkit.constants import TWO_PI, constants, phase_space_fraction, phase_space_integral
@@ -69,6 +69,46 @@ def test_invalid_arguments():
                 f(2, t_max)
     with pytest.raises(ConfigError, match="half-space model needs integer dimension"):
         boundary_coefficient(1, -3.0)  # the dimension is checked before t_max
+
+
+def test_nan_horizon_and_bad_tolerance_are_refused():
+    """t_max = nan was a ResourceError ("over the budget"), a nan tol
+    returned an uncertified value and a negative one raised
+    ConvergenceError; tol = 0 stays accepted, since the estimate at d = 2,
+    T = 200 is exactly 0."""
+    for f in (tail_bound_check, boundary_coefficient, absolute_moment, boundary_partial_sums):
+        with pytest.raises(ConfigError, match="^t_max must be positive, got nan$"):
+            f(2, math.nan)
+    for tol in (math.nan, -1.0, -5e-324):
+        with pytest.raises(ConfigError, match=f"^tol must be nonnegative, got {tol}$"):
+            boundary_coefficient(2, 200.0, tol=tol)
+    assert boundary_coefficient(2, 200.0, tol=0.0) == boundary_coefficient(2, 200.0)
+
+
+def _old_segment_pair(d, t_max, weight_t):
+    """The segment bounds and integrals as two passes, the first with a
+    leading 0, each caller slicing the zeros back out of it."""
+    bounds = np.concatenate([[0.0], bessel.zeros_below(d / 2.0 + 1.0, 2.0 * t_max) / 2.0])
+    a, b = bounds[:-1], bounds[1:]
+    mid = 0.5 * (a + b)[:, None]
+    half = 0.5 * (b - a)[:, None]
+    ts = mid + half * halfspace._GL_NODES[None, :]
+    vals = halfspace._cosine_bessel(d, ts.ravel()).reshape(ts.shape) / TWO_PI**d
+    if weight_t:
+        vals = vals * ts
+    return bounds[1:], (vals * halfspace._GL_WEIGHTS[None, :]).sum(axis=1) * half[:, 0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_segments_match_the_bounds_and_integrals_pair(d):
+    """One `_segments` pass is bitwise the old bounds-then-integrals pair,
+    with and without the weight t, also below the first zero."""
+    for t_max in (1.0, 3.0, 57.5, 200.0):
+        for weight_t in (False, True):
+            got = halfspace._segments(d, t_max, weight_t=weight_t)
+            want = _old_segment_pair(d, t_max, weight_t)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (t_max, weight_t)
+    assert halfspace._segments(d, 1.0, weight_t=False)[0].size == 0
 
 
 def test_profile_wall_and_bulk():

@@ -91,6 +91,8 @@ def _check(domain, x, tol=1e-3):
     pytest.param(lambda: BoundaryChart(None, None, -1.0, 0.5), _CHART, id="chart-radius-negative"),
     pytest.param(lambda: BoundaryChart(None, None, 0.1, 0.0), _CHART, id="chart-alpha-0"),
     pytest.param(lambda: BoundaryChart(None, None, 0.1, 1.5), _CHART, id="chart-alpha-above-1"),
+    # nan passed `radius <= 0`
+    pytest.param(lambda: BoundaryChart(None, None, math.nan, 0.5), _CHART, id="chart-radius-nan"),
     pytest.param(_check(Disk(1.0), [0.5, 0.0], tol=0.0),
                  "tol must be positive, got 0.0", id="normalization-tol-0"),
     pytest.param(_check(Disk(1.0), [0.5, 0.0], tol=-1e-3),
@@ -175,6 +177,35 @@ def test_scale_and_grad_matches_public_paths():
             assert np.allclose(grad, chain, rtol=1e-14, atol=0.0)
         assert np.all(flags == flagged)
         assert l.tobytes() == np.asarray(sf.scale(u)).tobytes()
+
+
+@pytest.mark.parametrize("l0", [1e-10, 1e-8])
+def test_scale_gradient_on_the_ridge_at_tiny_l0(l0):
+    """The unit square's ridge point (0.3, 0.3 + 1e-13): a step of a few ulps
+    gave the one-sided (0.347, 0.0) at l0 = 1e-10; the floored step
+    straddles the ridge, so each component is a share of the one slope
+    dl/ds = 1/(2 (1 + s)^2) at s ~ 0.3."""
+    l, grad, flags = ScaleFunction(square(1.0), l0).scale_and_grad(np.array([[0.3, 0.3 + 1e-13]]))
+    assert flags.tolist() == [True]
+    assert np.all((0.0 <= grad) & (grad <= 0.296))
+    assert grad.sum() == pytest.approx(0.5 / 1.3**2, abs=1e-3)
+
+
+def test_scale_gradient_step_floor_binds_only_at_tiny_l0(monkeypatch):
+    """Above l0 ~ 1e-6 the step is FD_STEP_FACTOR * l0 exactly: every ridge
+    gradient is bitwise that of the unfloored difference."""
+    u = np.array([[0.3, 0.3], [0.5, 0.5], [0.8, 0.2], [0.1, 0.1]])  # face ties
+    for l0 in (1e-5, 1e-3, 0.05, 0.1, 1.0):
+        sf = ScaleFunction(square(1.0), l0)
+        _, grad, flags = sf.scale_and_grad(u)
+        assert flags.all()
+        step = localization.FD_STEP_FACTOR * l0
+        want = np.empty_like(u)
+        for axis in range(2):
+            e = np.zeros(2)
+            e[axis] = step
+            want[:, axis] = (sf.scale(u + e) - sf.scale(u - e)) / (2.0 * step)
+        assert grad.tobytes() == want.tobytes(), l0
 
 
 def test_partition_functions_query_distance_once():
@@ -504,6 +535,17 @@ def _reference_normalization_check(sf, x, tol):
             f"{abs(total - 1.0):.3g} >= tol {tol:g}"
         )
     return total
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(h=st.floats(1e-300, 1.0), d=st.integers(1, 3), k=st.integers(1, 5))
+def test_cell_weight_is_the_array_power(h, d, k):
+    """One half-width per depth: the cell weight half^d is bitwise the power
+    of an array of k equal half-widths, which Python's h**d is not."""
+    rule = ((np.zeros((1, d)), np.array([1.0])),)
+    (got,) = localization._eval_cells(lambda u: np.ones(len(u)), np.zeros((k, d)), h,
+                                      np.ones(k, dtype=bool), rule)
+    assert got.tobytes() == (np.full(k, h) ** d).tobytes()
 
 
 def _outcome(check, sf, x, tol):

@@ -138,6 +138,12 @@ def _load_other_header(tmp_path):
                  id="box-cutoff-0"),
     pytest.param(lambda _: disk_spectrum(1.0, -1.0), "cutoff must be positive, got -1.0",
                  id="disk-cutoff-negative"),
+    # nan: a bare ValueError from the box, an empty disk or ball spectrum
+    *[pytest.param(lambda _, build=build: build(math.nan), "cutoff must be positive, got nan",
+                   id=f"{name}-cutoff-nan")
+      for name, build in (("box", lambda c: box_spectrum((1.0, 1.0), c)),
+                          ("disk", lambda c: disk_spectrum(1.0, c)),
+                          ("ball", lambda c: ball_spectrum(1.0, c)))],
     pytest.param(lambda _: spectrum_for(lshape_polygon(), 10.0),
                  "no exact spectrum generator for Polygon", id="polygon"),
     pytest.param(_load_other_header,

@@ -7,10 +7,16 @@ import types
 import warnings
 from pathlib import Path
 
-_spec = importlib.util.spec_from_file_location(
-    "outputs", Path(__file__).resolve().parent.parent / "tools" / "outputs.py")
-outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(outputs)
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+outputs = _tool("outputs")
+code_lines = _tool("code_lines")
 
 
 def test_ordinal_counts_ulps():
@@ -81,3 +87,50 @@ def test_write_job_records_stderr(tmp_path, monkeypatch):
         assert stderr.startswith("log fd\n")
         assert "RuntimeWarning: careful" in stderr
         assert stderr.endswith("to stderr\n")
+
+
+_MODULE = '''"""Module docstring
+over two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+
+
+def f(x):
+    """One-line docstring."""
+    s = """a string
+that is not a docstring"""
+    return (x +
+            1)
+
+
+class C:
+    """Class docstring
+    over two lines."""
+
+    y = 1
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path, capsys):
+    """import, def, the two lines of the string, the two of the return,
+    class and y: 8 code lines of 21."""
+    assert code_lines.code_lines(_MODULE) == 8
+    base, head = tmp_path / "base", tmp_path / "head"
+    base.mkdir()
+    head.mkdir()
+    (base / "a.py").write_text(_MODULE)
+    (base / "gone.py").write_text("x = 1\n")
+    (head / "a.py").write_text(_MODULE + "z = 2\n")
+    (head / "new.py").write_text('"""Only a docstring."""\n')
+    assert code_lines.main([str(head), str(base)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a.py                             8 ->     9  +1",
+        "gone.py                          1 ->     0  -1",
+        "new.py                           0 ->     0  +0",
+        "total                            9 ->     9  +0",
+    ]
+    assert code_lines.report(head) == ["a.py                             9",
+                                       "new.py                           0",
+                                       "total                            9"]
