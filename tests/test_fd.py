@@ -1,6 +1,5 @@
 import json
 import math
-import time
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from weylkit.domains import Polygon, lshape_polygon
 from weylkit.errors import ConfigError, NumericsError, ResourceError
 from weylkit.fdlap import (
     _DENSE_CUTOVER,
-    _DENSE_FALLBACK_MAX,
     assemble,
     count_below,
     eigenvalues_below,
@@ -146,16 +144,21 @@ def test_threshold_at_an_eigenvalue_is_refused(tmp_path, capsys, vertices, step,
     assert not out.exists()
 
 
-def test_degenerate_middle_eigenvalue_falls_back_to_dense():
-    # single-vector Lanczos misses copies of the 15-fold eigenvalue 4096
+def test_degenerate_middle_eigenvalue_sliced_matches_dense():
+    """Above 4096 = 4/step^2 the slices run on S and the 15 copies of 4096
+    are counted on S, not solved for; single-vector Lanczos on A missed some
+    of them. The sliced route agrees with dense eigvalsh."""
     poly = Polygon(
         [(0, 0), (1.0173, 0), (1.0173, 0.5158), (0.4884, 0.5158), (0.4884, 0.9791), (0, 0.9791)]
     )
     op = assemble(poly, 1 / 32)
+    assert op.dim > _DENSE_CUTOVER
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     ev = eigenvalues_below(op, 4791.445)
     ref = dense[dense < 4791.445]
     assert len(ev) == len(ref) == 473
+    assert np.count_nonzero(ev == 4096.0) == 15
+    assert np.count_nonzero(np.abs(ref - 4096.0) < 1e-9) == 15
     assert np.max(np.abs(ev - ref) / ref) < 1e-8
 
 
@@ -197,6 +200,7 @@ def test_arpack_no_convergence_exits_4(tmp_path, monkeypatch, capsys):
     assert assemble(UNIT_SQUARE, 1 / 24).dim > _DENSE_CUTOVER
 
     def no_convergence(*args, **kwargs):
+        assert kwargs["maxiter"] == weylkit.fdlap.ARPACK_MAXITER
         raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty(0))
 
     monkeypatch.setattr(weylkit.fdlap, "eigsh", no_convergence)
@@ -210,24 +214,51 @@ def test_arpack_no_convergence_exits_4(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_arpack_iteration_bound_exits_4_fast(tmp_path, capsys):
-    """The unit square at step 1/64 below 16400.384: one slice's vectors reach
-    into the 63-fold eigenvalue 4/step^2 = 16384, and ARPACK does not converge
-    there. Without a bound it gave up after 39,691 restarts and about 3 minutes."""
+def test_unit_square_above_4_over_step2(tmp_path, capsys):
+    """The unit square at step 1/64 below 16400.384: 2,016 eigenvalues, 63 of
+    them the copies of 4/step^2 = 16384, each within 1e-13 of the sine
+    spectrum. ARPACK on A did not converge on the slice whose vectors reached
+    into those copies; S counts them instead, _top_cluster puts them at c,
+    and the slices of S are solved with them deflated."""
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
     out = tmp_path / "o.csv"
     argv = ["fd", "--polygon", str(poly), "--step", "0.015625", "--threshold", "16400.384",
             "--out", str(out)]
-    start = time.perf_counter()
-    assert main(argv) == 4
-    assert time.perf_counter() - start < 60.0
-    err = json.loads(capsys.readouterr().out)["error"]
-    assert err["type"] == "NumericsError"
-    assert err["message"] == ("ARPACK did not converge on slice "
-                              "[16336.321889830817, 16368.353063027875) with k=2")
-    assert not out.exists()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    got = np.loadtxt(out, skiprows=1)
+    want = _sine_spectrum(63, 63, 1 / 64, 16400.384)
+    assert len(got) == len(want) == 2016
+    assert np.count_nonzero(got == 16384.0) == 63
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
+
+
+def test_top_cluster_not_at_c_is_refused(monkeypatch):
+    """Widened to 1e-3, the top cluster of S on the unit square at step 1/32
+    holds eigenvalues next to the 15 copies of s = 4 (its gap below 4 is
+    2.1e-4), which give no copies of c: ||E V|| stays far above the bound,
+    and the extraction is refused rather than returning them as c."""
+    monkeypatch.setattr(weylkit.fdlap, "_TOP_WIDTH", 1e-3)
+    op = assemble(UNIT_SQUARE, 1 / 32)
+    with pytest.raises(NumericsError, match="not certified to give copies of 4/step"):
+        eigenvalues_below(op, 4200.0)
+
+
+@pytest.mark.parametrize("rel", [1e-13, 1e-9, 1e-6, 1e-3])
+def test_thresholds_next_to_c_count_like_dense(rel):
+    """The unit L-shape at step 1/32 has 15 copies of c = 4096 and no other
+    eigenvalue within 5.8e-3 relative of it. Thresholds down to 1e-13
+    relative of c, inside the top cluster's reach of S, are counted as dense
+    eigvalsh counts them, on both sides of c; at c itself the ConfigError is
+    test_threshold_at_an_eigenvalue_is_refused's."""
+    op = assemble(lshape_polygon(), 1 / 32)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    for threshold in (4096.0 * (1 - rel), 4096.0 * (1 + rel)):
+        assert count_below(op, threshold) == np.count_nonzero(dense < threshold)
+    ev = eigenvalues_below(op, 4096.0 * (1 + rel))
+    assert len(ev) == 360 and np.count_nonzero(ev == 4096.0) == 15
 
 def test_lshape_count_and_provenance():
     op = assemble(lshape_polygon(1.0), 1 / 64)
@@ -329,15 +360,27 @@ def _sine_spectrum(m: int, n: int, step: float, threshold: float) -> np.ndarray:
     ((0.011, 0.007), (0.83, 0.95), 3000.0),
     ((0.02, 0.03), (1.01, 0.66), 3900.0),
     ((-0.004, 0.015), (0.91, 1.04), 3500.0),
+    ((0.003, -0.006), (0.97, 0.89), 3895.7),
+    ((-0.004, 0.015), (0.91, 1.04), 3990.3),
+    ((0.02, 0.03), (1.01, 0.66), 4071.9),
+    ((0.011, 0.007), (0.83, 0.95), 4094.1),
+    ((0.003, -0.006), (0.97, 0.89), 4300.0),
+    ((0.011, 0.007), (0.83, 0.95), 4500.0),
+    ((0.02, 0.03), (1.01, 0.66), 5200.0),
+    ((-0.004, 0.015), (0.91, 1.04), 6000.0),
 ])
 def test_fd_rectangles_off_lattice_match_sine_spectrum(corner, sides, threshold):
-    """The slicing route (inertia counts plus shift-invert Lanczos) stays
-    within 1e-14 relative of the exact discrete spectrum at step 1/32, where
-    the fd-polygon Lanczos jobs live; it measured 2.7e-15 to 3.8e-15 here.
-    Shifting the slice from 0 at its center put the lowest eigenvalue 8e-15
-    to 3.6e-14 off, and a dense eigvalsh of the whole matrix measured 6e-14
-    to 1.7e-12 off on the same grids, so a replacement of this route has to
-    be held to this bound."""
+    """The slicing route (inertia counts of S, shift-invert Lanczos on A for
+    the slice from 0 and on S above it) stays within 1e-14 relative of the
+    exact discrete spectrum at step 1/32, where the fd-polygon Lanczos jobs
+    live, and on both sides of c = 4/step^2 = 4096; it measured 1.9e-15 to
+    4.1e-15 here, in the slice from 0. Shifting the slice from 0 at its
+    center put the lowest eigenvalue 8e-15 to 3.6e-14 off, and a dense
+    eigvalsh of the whole matrix measured 6e-14 to 1.7e-12 off on the same
+    grids, so a replacement of this route has to be held to this bound.
+    Within c/16 of c each eigenvalue comes from an eigenvector y of S as
+    c -+ ||E y||/step^2; through _lam from S's eigenvalues those next to c
+    were 7.8e-15 to 3.6e-14 off above c."""
     step = 1.0 / 32.0
     (x0, y0), (a, b) = corner, sides
     poly = Polygon([(x0, y0), (x0 + a, y0), (x0 + a, y0 + b), (x0, y0 + b)])
@@ -348,6 +391,27 @@ def test_fd_rectangles_off_lattice_match_sine_spectrum(corner, sides, threshold)
     want = _sine_spectrum(m, n, step, threshold)
     assert len(got) == len(want) > 200
     assert np.max(np.abs(got - want) / want) <= 1e-14
+    # within c/16 of c: 2.4e-16 to 4.4e-16 from this float64 spectrum
+    near = np.abs(want - 4096.0) < 256.0
+    assert np.max(np.abs(got - want)[near] / want[near], initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("target", [3.0, 3.9, 3.99, 4.01, 4.1])
+def test_refusal_window_on_s_is_within_its_stated_width(target):
+    """count_below on S may refuse thresholds within about
+    8e-12/|4 - lam'| (units of step^-2) of an eigenvalue lam' = lam step^2,
+    wider than A's 8e-12 for lam' next to 4. At that distance, on either
+    side, the threshold is counted as the sine spectrum counts it; the
+    measured refusals reached only 3.2e-13 relative."""
+    step = 1.0 / 32.0
+    op = assemble(Polygon([(0.011, 0.007), (0.841, 0.007), (0.841, 0.957), (0.011, 0.957)]),
+                  step)
+    m, n = (len(np.unique(op.nodes[:, axis])) for axis in (0, 1))
+    exact = _sine_spectrum(m, n, step, math.inf)
+    lam = exact[np.argmin(np.abs(exact * step**2 - target))]
+    width = 8e-12 / abs(4.0 - lam * step**2) / step**2
+    for threshold in (lam - width, lam + width):
+        assert count_below(op, threshold) == np.count_nonzero(exact < threshold)
 
 
 @pytest.mark.parametrize("corner, sides, threshold", [
@@ -366,7 +430,7 @@ def test_fd_rectangles_fine_step_match_sine_spectrum(corner, sides, threshold):
     (x0, y0), (a, b) = corner, sides
     op = assemble(Polygon([(x0, y0), (x0 + a, y0), (x0 + a, y0 + b), (x0, y0 + b)]), step)
     m, n = (len(np.unique(op.nodes[:, axis])) for axis in (0, 1))
-    assert m * n == op.dim > _DENSE_FALLBACK_MAX
+    assert m * n == op.dim > _DENSE_CUTOVER
     got = eigenvalues_below(op, threshold)
     want = _sine_spectrum(m, n, step, threshold)
     assert len(got) == len(want) >= 9
@@ -376,11 +440,11 @@ def test_fd_rectangles_fine_step_match_sine_spectrum(corner, sides, threshold):
 @pytest.mark.parametrize("threshold", [300.0, 1000.0])
 def test_unit_square_fine_step_finds_every_double_eigenvalue(threshold):
     """On the lattice-aligned unit square every (j, k) != (k, j) eigenvalue is
-    double. The grid is above _DENSE_FALLBACK_MAX, so a slice that missed a
-    copy would raise instead of being redone densely."""
+    double. The grid is on the sliced route, so a slice that missed a copy
+    would fail the check of the total against the inertia count."""
     step = 1.0 / 64.0
     op = assemble(UNIT_SQUARE, step)
-    assert op.dim == 63 * 63 > _DENSE_FALLBACK_MAX
+    assert op.dim == 63 * 63 > _DENSE_CUTOVER
     got = eigenvalues_below(op, threshold)
     want = _sine_spectrum(63, 63, step, threshold)
     assert len(got) == len(want) == {300.0: 19, 1000.0: 71}[threshold]
@@ -460,3 +524,35 @@ def test_inertia_and_slices_match_dense(grid, data):
         assert len(got) == len(ref)
         if len(ref):
             assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_small_polygons(), st.data())
+def test_schur_counts_and_multiplicity_of_c_match_dense(grid, data):
+    """On both sides of c = 4/step^2, the inertia of S - s(T')I gives the
+    dense count of A at thresholds drawn inside a spectral gap at least
+    1e-6 ||A|| wide. The multiplicity of c in dense eigvalsh of A is
+    n_red - n_black + 2 #{s = 4}, with #{s = 4} from dense eigvalsh of S and
+    from the count of S at its top cluster's lower end. A threshold at c is
+    refused when c is an eigenvalue and counted otherwise."""
+    op = assemble(*grid)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    c = 4.0 * op.scale
+    copies = np.count_nonzero(np.abs(dense - c) <= 1e-9 * c)
+    tops = np.count_nonzero(np.linalg.eigvalsh(op.schur.toarray()) >= 4.0 - 1e-9)
+    assert copies == op.dim - 2 * op.n_black + 2 * tops
+    assert op.n_black - weylkit.fdlap._schur_count(op, 4.0 - weylkit.fdlap._TOP_WIDTH) == tops
+    for side in (dense < c, dense > c):
+        index = np.flatnonzero(side)
+        index = index[index < op.dim - 1]
+        assume(len(index))
+        below = int(data.draw(st.sampled_from(list(index)))) + 1
+        lower, upper = dense[below - 1], dense[below]
+        assume(upper - lower > 1e-6 * op.norm_estimate)
+        threshold = float(lower + data.draw(st.floats(0.25, 0.75)) * (upper - lower))
+        assert count_below(op, threshold) == below
+    if copies:
+        with pytest.raises(ConfigError):
+            eigenvalues_below(op, c)
+    else:
+        assert count_below(op, c) == np.count_nonzero(dense < c)
