@@ -97,6 +97,9 @@ def cmd_halfspace(args) -> int:
             raise ConfigError("profile check needs --out for its CSV")
         if args.count > _GRID_BUDGET:
             raise ResourceError(f"profile of {args.count} points is over the budget {_GRID_BUDGET}")
+    if not args.tol >= 0:  # boundary_coefficient's own message, for every check
+        raise ConfigError(f"tol must be nonnegative, got {args.tol}")
+    if args.check == "profile":
         halfspace.profile_to_csv(args.d, np.linspace(0.0, args.T, args.count), args.out)
         return 0
     if args.check == "boundary-coefficient":
@@ -127,6 +130,8 @@ def cmd_localize(args) -> int:
     if g**d > _GRID_BUDGET:
         raise ResourceError(f"localize grid of {g}^{d} points is over the budget {_GRID_BUDGET}")
     pts = domains.lattice([np.linspace(lo[i], hi[i], g) for i in range(d)])
+    if not args.tol > 0:  # normalization_check's own message, with or without its points
+        raise ConfigError(f"tol must be positive, got {args.tol}")
     # every normalization point is checked before the CSV is written, so a
     # refused point leaves no file
     rng = np.random.default_rng(MC_SEED)

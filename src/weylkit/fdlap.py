@@ -18,10 +18,14 @@ s < s(T') = T'(8 - T')/4, for T' < 4.
 Eigenvalue counting below a threshold uses the inertia of S - s(T')I
 (Sylvester's law) from a sparse symmetric LDL^T factorization, certified by
 its growth || |L||U| ||_inf / ||S - sigma*I||_inf, or else a NumericsError.
-Eigenvalue extraction slices the interval with those counts and solves each
-slice by shift-invert Lanczos on S, except the slice from 0, which is solved
-at shift 0 on the LDL^T of A itself. Within _NEAR_C/step^2 of c a slice
-takes each eigenvalue 4/step^2 -+ ||E y||/step^2 from an eigenvector y of S
+Eigenvalue extraction slices the interval with those counts. The slice from
+0 is solved by shift-invert Lanczos at shift 0 on the LDL^T of A itself.
+Above it, an S of at most _DENSE_SCHUR_MAX rows of which at least a third
+is still wanted gives every eigenvalue from one dense eigh, each from its
+eigenvector y of S: 4/step^2 -+ ||E y||/step^2 for lam' >= 2, and through
+the Rayleigh quotient of y on S, summed from nonnegative terms, below that.
+Any other grid solves each slice by shift-invert Lanczos on S, which within
+_NEAR_C/step^2 of c takes each eigenvalue as 4/step^2 -+ ||E y||/step^2
 rather than from its eigenvalue. The eigenvalues of the matrix within 1.9e-6
 relative of c are counted on S, not solved for, and certified as copies of
 c by a residual of E (see _top_cluster); the slices of S are solved with
@@ -92,6 +96,27 @@ _SCHUR_NORM = 4.0  # spectral bound of S, the scale of its pivot tolerance
 # 1.6e-15 to 5.7e-15 on each rectangle of the accuracy tests and
 # BENCH_15.json, set by the lowest eigenvalues
 _NEAR_C = 0.25
+# above the slice from 0, an S of at most _DENSE_SCHUR_MAX rows with at least
+# 1/_DENSE_SCHUR_SHARE of its dimension still wanted gives those eigenvalues
+# from one dense eigh (see _dense_route). Whole extractions on L-shapes,
+# eigh against the slices, at one and two BLAS threads on a 2-core x86-64 VM
+# (BENCH_29.json "route_edges"): near a third wanted they are within 10% of
+# each other (486 rows, 36%; 962 rows, 35%), below it the slices win or tie
+# (486 rows, 30%: 111 against 119-132 ms; 816 rows, 26%: within 6%; 938
+# rows, 16%: 169-182 against 251-382 ms), and half wanted the eigh takes
+# 18-36% less up to 1120 rows. Over 1024 rows its peak RSS grows as n^2
+# (+50 MB at 1120 rows, +150 MB at 1980) for a gain that shrinks: at 1980
+# rows half wanted, 30% at two threads and 4% at one, and with a quarter
+# wanted it took 30% and 75% longer. Grids that size keep the slices. The
+# step-1/32 fd-polygon jobs (seeds 2901-2910), S of 337-488 rows, want 48-87%
+# of it; one eigh there took 14-25 ms where 5-7 slices took 45-130 ms
+_DENSE_SCHUR_MAX = 1024
+_DENSE_SCHUR_SHARE = 3
+# from the dense eigh, an eigenvalue s >= _VECTOR_S of S (lam' >= 2) is taken
+# from its eigenvector y as 4 -+ ||E y||, one below it through _lam from y's
+# Rayleigh quotient on S (see _quotients)
+_VECTOR_S = 3.0
+_QUOTIENT_CHUNK = 256  # columns per step of _quotients, to bound its memory
 # irrational-ish split ratio keeps slice boundaries off the exact
 # arithmetic coincidences common in structured grid spectra
 _SPLIT_RATIO = 0.5000018437180104
@@ -280,7 +305,10 @@ def eigenvalues_below(op: GridOperator, threshold: float) -> np.ndarray:
     Spectrum slicing: bisection with inertia counts until every slice
     holds at most MAX_SLICE eigenvalues, then shift-invert Lanczos per slice
     (see _solve_slice) with a spanning completeness certificate; grids up to
-    _DENSE_CUTOVER take one dense solve instead. A threshold that reaches
+    _DENSE_CUTOVER take one dense solve instead. Above the slice from 0, a
+    small S of which most is wanted gives the rest from one dense eigh,
+    each piece checked against the certified counts at its ends (see
+    _slices and _dense_route). A threshold that reaches
     the top cluster's band [c - w, c + w] (c = 4/step^2, w = 2
     sqrt(_TOP_WIDTH)/step^2, 1.9e-6 relative) has the band cut out of the
     slices (see _slices): its eigenvalues are counted, not solved for. The
@@ -294,7 +322,10 @@ def eigenvalues_below(op: GridOperator, threshold: float) -> np.ndarray:
 
     Accuracy, measured against the closed-form spectrum of off-lattice
     rectangles at steps 1/64 (thresholds 200-1500) and 1/32 (3000-6000,
-    on both sides of c): within 6e-15 relative. Grids of dimension up to
+    on both sides of c): within 6e-15 relative, set by the slice from 0;
+    those from the dense S measured within 6.4e-16 on the 31 grids of
+    tools/fd_accuracy.py that take it. Their last bits can depend on the
+    BLAS thread count, and repeat at a fixed one. Grids of dimension up to
     _DENSE_CUTOVER carry eigvalsh's error instead, which is absolute: a
     small multiple of 1e-16 ||A||.
     """
@@ -328,42 +359,136 @@ def _slices(op: GridOperator, threshold: float, n_total: int, top: int | None,
     """The eigenvalues below `threshold` in pieces, for eigenvalues_below.
 
     Pieces of [0, threshold) are bisected at their _SPLIT_RATIO points until
-    each holds at most MAX_SLICE eigenvalues. With `top` and `cluster` given
-    (see _top_cluster), the slices of S are solved with the cluster
-    deflated, and the piece that meets the top cluster's band, if the
-    threshold reaches it, is cut at the band's ends instead once it holds at
-    most MAX_SLICE eigenvalues or its split point falls in the band: the
-    band's eigenvalues are returned as copies of c, and no slice reaches
-    them."""
+    each holds at most MAX_SLICE eigenvalues, the pieces from 0 first. With
+    `top` and `cluster` given (see _top_cluster), the slices of S are solved
+    with the cluster deflated, and the piece that meets the top cluster's
+    band, if the threshold reaches it, is cut at the band's ends instead
+    once it holds at most MAX_SLICE eigenvalues or its split point falls in
+    the band: the band's eigenvalues are returned as copies of c, and no
+    slice reaches them.
+
+    Once the slice from 0 is solved, a small S of which most is still wanted
+    (see _dense_route) gives every piece above it from one dense eigh (see
+    _dense_piece), unbisected; a piece that meets the band is then cut at
+    the band's ends whatever its count. Otherwise the bisection and the
+    slices of S go on. Either way the slice from 0, its split points and
+    its bytes are the same."""
     band_lo = math.inf if top is None else _band_low(op)
     band_hi = 8.0 * op.scale - band_lo
     # the counts at the band's ends: a slice that ends at one of them has
     # only the band beyond that end, which is deflated or counted apart
     ends = (None, None) if top is None else (op.dim - top, top)
-    out, stack = [np.empty(0)], [(0.0, threshold, 0, n_total)]
+    out, stack, dense = [np.empty(0)], [(0.0, threshold, 0, n_total)], None
     while stack:
         lo, hi, c_lo, c_hi = stack.pop()
         k = c_hi - c_lo
         if k == 0:
             continue
         mid = lo + _SPLIT_RATIO * (hi - lo)
-        if lo < band_lo < hi and (k <= MAX_SLICE or band_lo <= mid <= band_hi):
+        if lo < band_lo < hi and (dense is not None or k <= MAX_SLICE
+                                  or band_lo <= mid <= band_hi):
             up = op.dim - top if hi > band_hi else c_hi  # the count above the band
             if not c_lo <= top <= up <= c_hi:
                 raise NumericsError(f"the counts of S next to 4/step^2 disagree on "
                                     f"[{lo}, {hi})")
             out.append(np.full(up - top, 4.0 * op.scale))  # n_red - n_black + 2 #cluster
-            stack.append((lo, band_lo, c_lo, top))
             stack.append((band_hi, hi, up, c_hi))
+            stack.append((lo, band_lo, c_lo, top))
+            continue
+        if dense is not None:
+            out.append(_dense_piece(op, dense, lo, hi, k))
             continue
         if k > MAX_SLICE:
             c_mid = count_below(op, mid, top=top)
-            stack.append((lo, mid, c_lo, c_mid))
             stack.append((mid, hi, c_mid, c_hi))
+            stack.append((lo, mid, c_lo, c_mid))
             continue
         edges = (c_lo == ends[0], c_hi in (ends[1], op.dim))
         out.append(_solve_slice(op, lo, hi, k, edges, cluster))
+        if lo <= 0.0 and _dense_route(op, n_total - c_hi):
+            values, vectors = np.linalg.eigh(op.schur.toarray())
+            dense = values, vectors, _schur_form(op)
     return out
+
+
+def _dense_route(op: GridOperator, above: int) -> bool:
+    """Whether the `above` eigenvalues above the slice from 0 come from one
+    dense eigh of S rather than from slices of S: when S has at most
+    _DENSE_SCHUR_MAX rows and they are at least 1/_DENSE_SCHUR_SHARE of
+    its dimension (see _DENSE_SCHUR_MAX for the measurements at both edges)."""
+    return op.n_black <= _DENSE_SCHUR_MAX and _DENSE_SCHUR_SHARE * above >= op.n_black
+
+
+def _dense_piece(op: GridOperator, dense: tuple, lo: float, hi: float, k: int) -> np.ndarray:
+    """Eigenvalues in [lo, hi), lo > 0, from the eigenpairs of the dense S in
+    `dense`: those of S in the interval that s(lam) maps [lo, hi) to, as
+    many as the certified counts at its ends say, or else a NumericsError.
+    Each is taken from its eigenvector y (see _quotients): as 4 -+ ||E y||
+    where s >= _VECTOR_S (lam' >= 2, on either side of c), and below that
+    through _lam from y's Rayleigh quotient on S."""
+    values, vectors, form = dense
+    low, high, mirrored, _near = _schur_interval(op, lo, hi)
+    inside = _inside(values, low, high, mirrored)
+    if np.count_nonzero(inside) != k:
+        raise NumericsError(f"the dense Schur complement has {np.count_nonzero(inside)} "
+                            f"eigenvalues in [{lo}, {hi}), inertia says {k}")
+    quotient, sv = _quotients(form, vectors[:, inside])
+    by_vector = values[inside] >= _VECTOR_S
+    if mirrored:
+        return op.scale * np.where(by_vector, 4.0 + sv, 8.0 - _lam(quotient))
+    return op.scale * np.where(by_vector, 4.0 - sv, _lam(quotient))
+
+
+def _schur_form(op: GridOperator) -> tuple:
+    """(rows, cols, weights, margins, E) with S = sum over its off-diagonal
+    entries b < c of weight (e_b - e_c)(e_b - e_c)^T + diag(margins), and
+    the coupling E: the weights -S_bc and the margins, S's row sums, are
+    exact multiples of 1/4 and nonnegative (S is a diagonally dominant
+    M-matrix)."""
+    from scipy import sparse
+
+    upper = sparse.triu(op.schur, k=1).tocoo()
+    margins = np.asarray(op.schur.sum(axis=1)).ravel()
+    return upper.row, upper.col, -upper.data, margins, _coupling(op)
+
+
+def _quotients(form: tuple, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y^T S y / y^T y, ||E y|| / ||y||) for each column y of `vectors`, with
+    S and E from _schur_form. Both are sums of nonnegative terms, each
+    summed pairwise, so each carries a few ulps of its own size, where the
+    eigenvalues of a dense eigh carry a few ulps of ||S|| = 4: at s = 0.09
+    a quotient measured 1e-16 relative, eigh's eigenvalue 1.6e-15. Columns
+    go _QUOTIENT_CHUNK at a time."""
+    rows, cols, weights, margins, coupling = form
+    quotient, sv = np.empty(vectors.shape[1]), np.empty(vectors.shape[1])
+    for j in range(0, vectors.shape[1], _QUOTIENT_CHUNK):
+        part = slice(j, j + _QUOTIENT_CHUNK)
+        # one vector per row, C-contiguous, so that numpy sums each row pairwise
+        y = np.ascontiguousarray(vectors[:, part].T)
+        squares = (y * y).sum(axis=1)
+        steps = np.take(y, rows, axis=1) - np.take(y, cols, axis=1)
+        quotient[part] = ((steps * steps * weights).sum(axis=1)
+                          + (y * y * margins).sum(axis=1)) / squares
+        ey = np.ascontiguousarray((coupling @ vectors[:, part]).T)
+        sv[part] = np.sqrt((ey * ey).sum(axis=1) / squares)
+    return quotient, sv
+
+
+def _schur_interval(op: GridOperator, lo: float,
+                    hi: float) -> tuple[float, float, bool, bool]:
+    """(low, high, mirrored, near): the ends of the interval of S that s(lam)
+    maps [lo, hi) to, in increasing order, whether it lies above c, where
+    s(lam) decreases, and whether [lo, hi) reaches within _NEAR_C/step^2 of
+    c."""
+    (t_lo, s_lo), (t_hi, s_hi) = _schur_shift(op, lo), _schur_shift(op, hi)
+    low, high = sorted((s_lo, s_hi))
+    return low, high, t_lo >= 4.0, bool(t_hi > 4.0 - _NEAR_C and t_lo < 4.0 + _NEAR_C)
+
+
+def _inside(ev: np.ndarray, low: float, high: float, mirrored: bool) -> np.ndarray:
+    """Which eigenvalues s of S give an eigenvalue lam of the matrix in
+    [lo, hi): s in [s(lo), s(hi)) below c, s in (s(hi), s(lo)] above it."""
+    return (ev > low) & (ev <= high) if mirrored else (ev >= low) & (ev < high)
 
 
 def _top_cluster(op: GridOperator, certify: bool) -> tuple[int, np.ndarray]:
@@ -474,10 +599,8 @@ def _solve_slice(op: GridOperator, lo: float, hi: float, k: int,
         opinv = LinearOperator(op.matrix.shape, matvec=lu.solve, dtype=float)
         past_low, mirrored, near = True, False, False
     else:
-        (t_lo, s_lo), (t_hi, s_hi) = _schur_shift(op, lo), _schur_shift(op, hi)
-        mirrored = t_lo >= 4.0  # above c, s(lam) decreases
-        near = bool(t_hi > 4.0 - _NEAR_C and t_lo < 4.0 + _NEAR_C)
-        matrix, (low, high) = op.schur, sorted((s_lo, s_hi))
+        low, high, mirrored, near = _schur_interval(op, lo, hi)
+        matrix = op.schur
         sigma, ask, opinv = 0.5 * (low + high), k + 8, None
         if cluster is not None and cluster.shape[1]:
             shifted = op.schur - sigma * sparse.identity(op.n_black, format="csr")
@@ -506,8 +629,7 @@ def _solve_slice(op: GridOperator, lo: float, hi: float, k: int,
         spans_low = past_low or ev.min() < low
         spans_high = past_high or ev.max() > high
         if (spans_low and spans_high) or ask >= dim - 2:
-            # lam in [lo, hi) is s in [s(lo), s(hi)) below c, in (s(hi), s(lo)] above it
-            inside = (ev > low) & (ev <= high) if mirrored else (ev >= low) & (ev < high)
+            inside = _inside(ev, low, high, mirrored)
             if matrix is op.matrix:
                 return np.sort(ev[inside])
             if near:

@@ -199,6 +199,30 @@ def test_config_error_exit_code(tmp_path, capsys):
                  "ConvergenceError", 4,
                  "boundary coefficient only converged to 3.22e-07 > tol 1e-12 within t_max=20.0",
                  id="boundary-coefficient-tol"),
+    # --tol is refused on every check, with the message of the path that uses
+    # it; these exited 0 and ignored it (an --out in a missing directory
+    # would fail if anything were written)
+    pytest.param(["halfspace", "--check", "tail", "--T", "20", "--tol", "-1"], "ConfigError", 2,
+                 "tol must be nonnegative, got -1.0", id="tail-tol-negative"),
+    pytest.param(["halfspace", "--check", "dual", "--tol", "-1"], "ConfigError", 2,
+                 "tol must be nonnegative, got -1.0", id="dual-tol-negative"),
+    pytest.param(["halfspace", "--check", "profile", "--T", "5", "--count", "3", "--tol", "-1",
+                  "--out", "missing/p.csv"], "ConfigError", 2,
+                 "tol must be nonnegative, got -1.0", id="profile-tol-negative"),
+    pytest.param(["localize", "--domain", "disk:1", "--l0", "0.1", "--grid", "2", "--tol", "-1",
+                  "--out", "missing/d.csv"], "ConfigError", 2,
+                 "tol must be positive, got -1.0", id="localize-tol-negative"),
+    pytest.param(["localize", "--domain", "disk:1", "--l0", "0.1", "--grid", "2", "--tol", "0",
+                  "--out", "missing/d.csv"], "ConfigError", 2,
+                 "tol must be positive, got 0.0", id="localize-tol-0"),
+    # as before: the message normalization_check printed
+    pytest.param(["localize", "--domain", "disk:1", "--l0", "0.1", "--grid", "2",
+                  "--check-normalization", "1", "--tol", "-1", "--out", "missing/d.csv"],
+                 "ConfigError", 2, "tol must be positive, got -1.0",
+                 id="localize-normalization-tol-negative"),
+    # a profile's missing --out is still reported first
+    pytest.param(["halfspace", "--check", "profile", "--tol", "-1"], "ConfigError", 2,
+                 "profile check needs --out for its CSV", id="profile-without-out-tol-negative"),
 ])
 def test_float_limit_errors(capsys, argv, kind, code, message):
     assert main(argv) == code

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import logging
+import math
 import sys
 import types
 import warnings
@@ -17,6 +18,7 @@ def _tool(name: str):
 
 outputs = _tool("outputs")
 code_lines = _tool("code_lines")
+fd_accuracy = _tool("fd_accuracy")
 
 
 def test_ordinal_counts_ulps():
@@ -134,3 +136,50 @@ def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path, capsys):
     assert code_lines.report(head) == ["a.py                             9",
                                        "new.py                           0",
                                        "total                            9"]
+
+
+def test_fd_accuracy_grids_and_exact_spectrum():
+    """53 grids: BENCH_15.json's 24, the 12 test rectangles, 16 next to c
+    and the unit square; the 40-digit sine spectrum agrees with its float64
+    closed form to a few ulps."""
+    grids = fd_accuracy.grids()
+    assert len(grids) == 53
+    assert [g["label"] for g in grids].count("BENCH_15") == 24
+    assert grids[-1]["threshold"] == 16400.384 and grids[-1]["step"] == 1 / 64
+    exact = fd_accuracy.exact_spectrum(3, 2, 0.25, 100.0)
+    one_d = [[4 * math.sin(math.pi * j / (2 * (size + 1))) ** 2 / 0.25**2
+              for j in range(1, size + 1)] for size in (3, 2)]
+    want = sorted(x + y for x in one_d[0] for y in one_d[1] if x + y < 100.0)
+    assert len(exact) == len(want) == 5
+    assert all(abs(float(e) - w) <= 4 * math.ulp(w) for e, w in zip(exact, want))
+
+
+def test_fd_accuracy_report_names_moves_and_regressions():
+    """One 3 x 2 grid below 100: equal trees move nothing; a second tree
+    8 ulps farther on the largest eigenvalue fails the verdict; a failed
+    run fails it too."""
+    grid = {"label": "toy", "step_text": "1/4", "step": 0.25, "corner": [0, 0],
+            "sides": [1, 0.75], "threshold": 100.0}
+    exact = [float(e) for e in fd_accuracy.exact_spectrum(3, 2, 0.25, 100.0)]
+    run = {"shape": [3, 2], "dim": 6, "values": [v.hex() for v in exact]}
+    rows, ok = fd_accuracy.report([grid], [[run], [run]])
+    assert ok and rows[2].endswith("| 0 | - |")
+    worse = dict(run, values=[v.hex() for v in exact[:-1] + [exact[-1] + 8 * math.ulp(exact[-1])]])
+    rows, ok = fd_accuracy.report([grid], [[run], [worse]])
+    assert not ok and "| 1 |" in rows[2]
+    failed = dict(run, values="NumericsError: slice extraction found 3 eigenvalues")
+    rows, ok = fd_accuracy.report([grid], [[run], [failed]])
+    assert not ok and "NumericsError" in rows[2]
+
+
+def test_fd_accuracy_runs_a_tree(tmp_path):
+    """run_tree runs eigenvalues_below of the tree in a fresh process: the
+    unit square at step 1/8 below 200, a 7 x 7 grid on the dense route."""
+    grid = {"label": "toy", "step_text": "1/8", "step": 0.125, "corner": [0.0, 0.0],
+            "sides": [1.0, 1.0], "threshold": 200.0}
+    (result,) = fd_accuracy.run_tree(str(Path(fd_accuracy.__file__).parent.parent / "src"),
+                                     [grid])
+    exact = fd_accuracy.exact_spectrum(7, 7, 0.125, 200.0)
+    assert result["shape"] == [7, 7] and result["dim"] == 49
+    assert len(result["values"]) == len(exact) == 15
+    assert fd_accuracy.worst_error([float.fromhex(v) for v in result["values"]], exact) < 1e-14
